@@ -16,6 +16,7 @@
 
 #include <memory>
 
+#include "bigint/limbs.h"
 #include "bigint/modarith.h"
 #include "bigint/montgomery.h"
 #include "clsig/clsig.h"
@@ -51,7 +52,7 @@ const ModexpInstance& modexp_instance() {
 void BM_FixedBase_Modexp2048_Uncached(benchmark::State& state) {
   const ModexpInstance& inst = modexp_instance();
   for (auto _ : state) {
-    const MontgomeryCtx ctx(inst.mod);
+    const FpCtx ctx(inst.mod);
     benchmark::DoNotOptimize(modexp(inst.base, inst.exp, ctx));
   }
 }
@@ -60,7 +61,7 @@ BENCHMARK(BM_FixedBase_Modexp2048_Uncached)->Unit(benchmark::kMillisecond);
 // After: the context is built once and held for the session.
 void BM_FixedBase_Modexp2048_CachedCtx(benchmark::State& state) {
   const ModexpInstance& inst = modexp_instance();
-  const auto ctx = montgomery_ctx(inst.mod);
+  const auto ctx = fp_ctx(inst.mod);
   for (auto _ : state) {
     benchmark::DoNotOptimize(modexp(inst.base, inst.exp, *ctx));
   }
@@ -81,7 +82,7 @@ BENCHMARK(BM_FixedBase_Modexp2048_Facade)->Unit(benchmark::kMillisecond);
 // headline against the uncached baseline above.
 void BM_FixedBase_Modexp2048_FixedBaseTable(benchmark::State& state) {
   const ModexpInstance& inst = modexp_instance();
-  const FixedBasePow table(montgomery_ctx(inst.mod), inst.base, 2048);
+  const FixedBasePow table(fp_ctx(inst.mod), inst.base, 2048);
   SecureRandom rng(48);
   // Fresh exponents per iteration — the table is amortized, the exponent
   // is not fixed.
@@ -110,7 +111,7 @@ void BM_FixedBase_RsaVerify2048_Uncached(benchmark::State& state) {
   SecureRandom rng(44);
   const Bigint m = Bigint::random_below(rng, pk.n);
   for (auto _ : state) {
-    const MontgomeryCtx ctx(pk.n);
+    const FpCtx ctx(pk.n);
     benchmark::DoNotOptimize(modexp(m, pk.e, ctx));
   }
 }

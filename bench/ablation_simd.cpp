@@ -19,8 +19,8 @@
 // strongest. The kernel rows sweep all supported widths, including the
 // 2-limb test scale used elsewhere in the suite.
 // Every fixture self-checks bit-identity between the modes before timing.
-// Flat limbs stay ON in both modes — A15 isolates the lane batching, not
-// the PR 6 port. Run with --benchmark_out=BENCH_ablation_simd.json to
+// Both modes run on the same FpCtx field core — A15 isolates the lane
+// batching. Run with --benchmark_out=BENCH_ablation_simd.json to
 // regenerate the committed artifact.
 #include <benchmark/benchmark.h>
 

@@ -127,7 +127,7 @@ class Bigint {
                              const Bigint& hi);
 
   /// Read-only view of the little-endian 32-bit limbs of the magnitude.
-  /// Exposed for MontgomeryCtx, which works on raw limbs; not a stable wire
+  /// Exposed for FpCtx, which packs them into 64-bit limbs; not a stable wire
   /// format — use to_bytes_be for serialization.
   const std::vector<std::uint32_t>& raw_limbs() const { return limbs_; }
 

@@ -1,8 +1,6 @@
 #include "bigint/limbs.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <shared_mutex>
@@ -21,32 +19,7 @@ namespace {
 
 __extension__ typedef unsigned __int128 u128;
 
-#ifndef PPMS_FLAT_LIMBS_DEFAULT
-#define PPMS_FLAT_LIMBS_DEFAULT 1
-#endif
-
-bool flat_default_from_env() {
-  const char* env = std::getenv("PPMS_FLAT_LIMBS");
-  if (env == nullptr) return PPMS_FLAT_LIMBS_DEFAULT != 0;
-  const std::string v(env);
-  return !(v == "0" || v == "off" || v == "false" || v == "OFF" ||
-           v == "FALSE");
-}
-
-std::atomic<bool>& flat_flag() {
-  static std::atomic<bool> flag{flat_default_from_env()};
-  return flag;
-}
-
 }  // namespace
-
-bool flat_limbs_enabled() {
-  return flat_flag().load(std::memory_order_relaxed);
-}
-
-void set_flat_limbs_enabled(bool on) {
-  flat_flag().store(on, std::memory_order_relaxed);
-}
 
 namespace limb {
 
@@ -326,57 +299,53 @@ Bigint FpCtx::from_mont(const FpElem& a) const {
   return unpack(out);
 }
 
-Bigint FpCtx::redc_wide(const Bigint& t) const {
-  if (t.is_negative()) {
-    throw std::invalid_argument("FpCtx::redc_wide: negative value");
+Bigint FpCtx::pow(const Bigint& base, const Bigint& exp) const {
+  if (exp.is_negative()) {
+    throw std::invalid_argument("FpCtx::pow: negative exponent");
   }
-  const auto& l32 = t.raw_limbs();
-  if (l32.size() > 4 * n_) {
-    throw std::invalid_argument("FpCtx::redc_wide: value wider than R²");
+  if (exp.is_zero()) return Bigint(1);
+  // Sliding window of width 4: precompute odd powers b^1, b^3, ..., b^15.
+  constexpr std::size_t kWindow = 4;
+  const FpElem b_mont = to_mont(base);
+  std::array<FpElem, 1 << (kWindow - 1)> odd_powers;
+  odd_powers[0] = b_mont;
+  FpElem b2;
+  sqr(b2, b_mont);
+  for (std::size_t i = 1; i < odd_powers.size(); ++i) {
+    mul(odd_powers[i], odd_powers[i - 1], b2);
   }
-  // work = t over 2n+1 limbs; fold n times, result in work[n..2n].
-  limb::Limb work[2 * limb::kMaxFpLimbs + 1] = {0};
-  for (std::size_t i = 0; i < l32.size(); ++i) {
-    work[i / 2] |= static_cast<limb::Limb>(l32[i]) << (32 * (i % 2));
-  }
-  for (std::size_t i = 0; i < n_; ++i) {
-    const limb::Limb u = work[i] * n0_;
-    limb::Limb carry = 0;
-    for (std::size_t j = 0; j < n_; ++j) {
-      const u128 cur = static_cast<u128>(work[i + j]) +
-                       static_cast<u128>(u) * m_[j] + carry;
-      work[i + j] = static_cast<limb::Limb>(cur);
-      carry = static_cast<limb::Limb>(cur >> 64);
+  FpElem acc = one();
+  std::ptrdiff_t i = static_cast<std::ptrdiff_t>(exp.bit_length()) - 1;
+  while (i >= 0) {
+    if (!exp.bit(static_cast<std::size_t>(i))) {
+      sqr(acc, acc);
+      --i;
+      continue;
     }
-    std::size_t k = i + n_;
-    while (carry != 0) {
-      // t < R² keeps the ripple within work[2n]; the bound is enforced by
-      // the width check above.
-      const u128 cur = static_cast<u128>(work[k]) + carry;
-      work[k] = static_cast<limb::Limb>(cur);
-      carry = static_cast<limb::Limb>(cur >> 64);
-      ++k;
+    // Longest window [j, i] with j > i - kWindow whose low bit is 1.
+    std::ptrdiff_t j = std::max<std::ptrdiff_t>(0, i - kWindow + 1);
+    while (!exp.bit(static_cast<std::size_t>(j))) ++j;
+    std::uint32_t window = 0;
+    for (std::ptrdiff_t k = i; k >= j; --k) {
+      sqr(acc, acc);
+      window = (window << 1) | (exp.bit(static_cast<std::size_t>(k)) ? 1 : 0);
     }
+    mul(acc, acc, odd_powers[(window - 1) / 2]);
+    i = j - 1;
   }
-  // Result is work[n .. 2n] (n+1 limbs); one subtraction covers in-domain
-  // input, the Bigint fallback covers arbitrary t up to R²-1.
-  std::vector<std::uint32_t> l32_out(2 * (n_ + 1), 0);
-  for (std::size_t i = 0; i <= n_; ++i) {
-    l32_out[2 * i] = static_cast<std::uint32_t>(work[n_ + i]);
-    l32_out[2 * i + 1] = static_cast<std::uint32_t>(work[n_ + i] >> 32);
-  }
-  Bigint r = Bigint::from_raw_limbs(std::move(l32_out));
-  if (r >= m_big_) r -= m_big_;
-  if (r >= m_big_) r = r.mod(m_big_);
-  return r;
+  return from_mont(acc);
 }
 
 namespace {
 
-// Per-modulus FpCtx cache, the mirror of modarith's Montgomery cache: the
-// pairing engine and MontgomeryCtx both ask for the context of the market
-// modulus on every construction, and the two divisions in the FpCtx ctor
-// are exactly what should happen once per modulus, not once per call.
+// Per-modulus FpCtx cache: the pairing engine, the ZKP groups, RSA keys
+// and the modexp facade all ask for the context of a long-lived modulus,
+// and the two divisions in the FpCtx ctor are exactly what should happen
+// once per modulus, not once per call. Readers take a shared lock; the
+// first use of a new modulus builds outside the exclusive section. Bounded
+// so a workload sweeping many throwaway moduli cannot grow it without
+// limit: a full cache is evicted wholesale, and outstanding shared_ptrs
+// keep their contexts alive.
 constexpr std::size_t kFpCtxCacheCapacity = 64;
 
 struct FpCtxCache {

@@ -1,5 +1,5 @@
 // Flat-limb kernels: mpn-style fixed-width arithmetic over raw uint64_t
-// arrays, and the FpCtx/FpElem/Fp2Elem layer the pairing hot paths run on.
+// arrays, and the FpCtx/FpElem/Fp2Elem layer every modular hot path runs on.
 //
 // `ppms::Bigint` pays a heap-allocated limb vector plus sign/size
 // normalization on every operation; inside a Miller loop that allocator
@@ -8,16 +8,16 @@
 // caller-known width, no allocation, no sign logic, carries returned to
 // the caller. On top of them `FpCtx` fixes one odd modulus at setup
 // (market creation) and `FpElem` is a stack-resident residue sized to it;
-// every Montgomery product runs CIOS with 64-bit limbs — half the limb
-// count and a quarter of the single-word multiplies of the 32-bit path —
-// and never touches the heap.
+// every Montgomery product runs CIOS with 64-bit limbs and never touches
+// the heap. FpCtx is the only Montgomery implementation in the library:
+// RSA, the ZKP groups, primality testing and the pairing engine all use
+// it, and moduli it does not support (even, or wider than 2048 bits) take
+// the division-based ladders in bigint/modarith.h.
 //
 // Conversion discipline: `Bigint` appears only at API boundaries
-// (`to_mont` / `from_mont` / `redc_wide`). Everything between stays on raw
-// limbs. The legacy Bigint path is kept, bit-identical, as the
-// differential oracle behind the `PPMS_FLAT_LIMBS` switch below; see
-// tests/bigint/flatlimb_diff_test.cpp for the adversarial suite that pins
-// the two together.
+// (`to_mont` / `from_mont` / `pow`). Everything between stays on raw
+// limbs. tests/bigint/flatlimb_diff_test.cpp pins every kernel to plain
+// Bigint arithmetic on adversarial operands.
 #pragma once
 
 #include <array>
@@ -34,22 +34,13 @@ namespace simd {
 struct MontJob;
 }
 
-/// Runtime switch for the flat-limb fast path. The compiled default is the
-/// CMake option PPMS_FLAT_LIMBS (ON unless configured out); the environment
-/// variable PPMS_FLAT_LIMBS=0/off/false (resp. 1/on/true) overrides it at
-/// process start, and tests/benches may flip it explicitly. Contexts and
-/// engines capture the flag at construction; the per-modulus caches rebuild
-/// on a mode change, so toggling is coherent but not free.
-bool flat_limbs_enabled();
-void set_flat_limbs_enabled(bool on);
-
 namespace limb {
 
 using Limb = std::uint64_t;
 __extension__ typedef unsigned __int128 Dlimb;  // double-limb accumulator
 
-/// Widest modulus the flat path accepts, in 64-bit limbs (2048 bits).
-/// Wider moduli stay on the Bigint oracle path.
+/// Widest modulus FpCtx accepts, in 64-bit limbs (2048 bits). Wider
+/// moduli take the division-based ladders.
 inline constexpr std::size_t kMaxFpLimbs = 32;
 
 // All kernels operate on little-endian arrays of exactly `n` limbs unless
@@ -218,18 +209,16 @@ class FpCtx {
   Bigint from_mont(const FpElem& a) const;
 
   /// Copy the low limbs of a non-negative x < 2^{64·limbs()} into an FpElem
-  /// without any domain change (pack) and back (unpack). Used by the
-  /// MontgomeryCtx bridge, whose callers hold Montgomery-form Bigints.
+  /// without any domain change (pack) and back (unpack). The linear ops
+  /// are domain-agnostic, so these let callers use them on plain residues.
   FpElem pack(const Bigint& x) const;
   Bigint unpack(const FpElem& a) const;
 
-  /// t · R^{-1} mod m for any t in [0, R²) given as a Bigint — the wide
-  /// REDC that backs MontgomeryCtx::from_mont on arbitrary 2n-limb input.
-  Bigint redc_wide(const Bigint& t) const;
-
-  /// R² mod m in pack() form (the to_mont multiplier), for callers running
-  /// their own ladders.
-  const FpElem& r2() const { return r2_mod_m_; }
+  /// base^exp mod m (base any integer, exp >= 0; throws
+  /// std::invalid_argument for a negative exponent) by sliding-window
+  /// exponentiation, window 4, entirely on stack residues: the ladder
+  /// converts to and from Bigint once at each end.
+  Bigint pow(const Bigint& base, const Bigint& exp) const;
 
   /// One queued Montgomery product for mul_batch. The output may alias the
   /// job's own inputs, but must not alias the operands of any other job in
@@ -297,11 +286,13 @@ class FpLaneBatch {
   std::vector<FpCtx::MulJob> jobs_;
 };
 
-/// Shared per-modulus FpCtx from a process-wide cache (mirror of
-/// `montgomery_ctx`). Requires FpCtx::supports(m).
+/// Shared per-modulus FpCtx from a process-wide cache (created on first
+/// use; later calls for the same modulus are a shared-lock lookup).
+/// Requires FpCtx::supports(m), std::invalid_argument otherwise. The
+/// returned pointer stays valid even if the cache is cleared.
 std::shared_ptr<const FpCtx> fp_ctx(const Bigint& m);
 
-/// Number of cached flat contexts / drop the cache (tests, benches).
+/// Number of cached contexts / drop the cache (tests, benches).
 std::size_t fp_ctx_cache_size();
 void fp_ctx_cache_clear();
 

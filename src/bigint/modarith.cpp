@@ -1,14 +1,9 @@
 #include "bigint/modarith.h"
 
 #include <array>
-#include <mutex>
-#include <shared_mutex>
 #include <stdexcept>
-#include <string>
-#include <unordered_map>
-#include <utility>
 
-#include "bigint/montgomery.h"
+#include "bigint/limbs.h"
 #include "obs/metrics.h"
 
 namespace ppms {
@@ -22,85 +17,11 @@ void count_modexp() {
   obs_calls.add();
 }
 
-}  // namespace
-
-namespace {
-
 // Montgomery only pays off once the per-modulus setup amortizes over many
 // multiplications; below this exponent size the plain window wins.
 constexpr std::size_t kMontgomeryMinExpBits = 17;
 
-// Per-modulus context cache. Readers (the overwhelmingly common case once a
-// protocol session is warm) take a shared lock; the first exponentiation
-// against a new modulus takes the exclusive lock to insert. Bounded so a
-// workload sweeping many throwaway moduli (e.g. prime generation, which
-// deliberately bypasses the cache) cannot grow it without limit.
-constexpr std::size_t kMontgomeryCacheCapacity = 64;
-
-struct CtxCache {
-  std::shared_mutex mutex;
-  std::unordered_map<std::string, std::shared_ptr<const MontgomeryCtx>> map;
-};
-
-CtxCache& ctx_cache() {
-  static CtxCache cache;
-  return cache;
-}
-
-std::string ctx_cache_key(const Bigint& m) {
-  const auto& limbs = m.raw_limbs();
-  return std::string(reinterpret_cast<const char*>(limbs.data()),
-                     limbs.size() * sizeof(limbs[0]));
-}
-
 }  // namespace
-
-std::shared_ptr<const MontgomeryCtx> montgomery_ctx(const Bigint& m) {
-  if (m.sign() <= 0 || m.is_even() || m.is_one()) {
-    throw std::invalid_argument("montgomery_ctx: modulus must be odd and > 1");
-  }
-  CtxCache& cache = ctx_cache();
-  const std::string key = ctx_cache_key(m);
-  // A cached context is only good while its kernel choice matches what a
-  // fresh build would pick: contexts capture the flat-limb switch at
-  // construction, so a toggle (tests, the ablation bench) makes stale
-  // entries rebuild on their next lookup.
-  const bool want_flat = MontgomeryCtx::would_use_flat(m);
-  {
-    std::shared_lock lock(cache.mutex);
-    const auto it = cache.map.find(key);
-    if (it != cache.map.end() && it->second->flat() == want_flat) {
-      return it->second;
-    }
-  }
-  // Build outside the exclusive section: the two divisions for R mod m and
-  // R² mod m are exactly the cost we do not want serialized behind a lock.
-  auto ctx = std::make_shared<const MontgomeryCtx>(m);
-  std::unique_lock lock(cache.mutex);
-  if (cache.map.size() >= kMontgomeryCacheCapacity &&
-      cache.map.find(key) == cache.map.end()) {
-    // Evict wholesale; outstanding shared_ptrs keep their contexts alive
-    // and the live moduli repopulate on their next call.
-    cache.map.clear();
-  }
-  auto [it, inserted] = cache.map.emplace(key, ctx);
-  if (!inserted && it->second->flat() != ctx->flat()) {
-    it->second = std::move(ctx);  // replace a stale-mode entry
-  }
-  return it->second;  // a racing thread's insert wins; both are equivalent
-}
-
-std::size_t montgomery_cache_size() {
-  CtxCache& cache = ctx_cache();
-  std::shared_lock lock(cache.mutex);
-  return cache.map.size();
-}
-
-void montgomery_cache_clear() {
-  CtxCache& cache = ctx_cache();
-  std::unique_lock lock(cache.mutex);
-  cache.map.clear();
-}
 
 Bigint modmul(const Bigint& a, const Bigint& b, const Bigint& m) {
   if (m.sign() <= 0) throw std::domain_error("modmul: modulus must be > 0");
@@ -163,17 +84,7 @@ Bigint modexp_window(const Bigint& base, const Bigint& exp, const Bigint& m) {
   return acc;
 }
 
-Bigint modexp_montgomery(const Bigint& base, const Bigint& exp,
-                         const Bigint& m) {
-  if (exp.is_negative()) {
-    throw std::invalid_argument("modexp: negative exponent");
-  }
-  if (m.is_one()) return Bigint();  // canonical zero, like the other paths
-  return MontgomeryCtx(m).pow(base, exp);
-}
-
-Bigint modexp(const Bigint& base, const Bigint& exp,
-              const MontgomeryCtx& ctx) {
+Bigint modexp(const Bigint& base, const Bigint& exp, const FpCtx& ctx) {
   count_modexp();
   if (exp.is_negative()) {
     throw std::invalid_argument("modexp: negative exponent");
@@ -191,17 +102,17 @@ Bigint modexp(const Bigint& base, const Bigint& exp, const Bigint& m) {
   }
   // Explicit dispatch, in order:
   //  1. m == 1: everything is congruent to canonical zero.
-  //  2. even m: Montgomery requires an odd modulus, window handles any m.
+  //  2. even m or m wider than 2048 bits: FpCtx cannot hold it, and the
+  //     window handles any m.
   //  3. short exponents: the per-modulus setup (even cached, the lookup)
   //     does not amortize; plain window wins.
-  //  4. odd m, long exponent: Montgomery with the shared per-modulus
-  //     context from the cache.
+  //  4. otherwise: Montgomery with the shared per-modulus context from
+  //     the cache.
   if (m.is_one()) return Bigint();
-  if (m.is_even()) return modexp_window(base, exp, m);
-  if (exp.bit_length() < kMontgomeryMinExpBits) {
+  if (!FpCtx::supports(m) || exp.bit_length() < kMontgomeryMinExpBits) {
     return modexp_window(base, exp, m);
   }
-  return montgomery_ctx(m)->pow(base, exp);
+  return fp_ctx(m)->pow(base, exp);
 }
 
 std::optional<Bigint> mod_sqrt(const Bigint& a, const Bigint& p,

@@ -1,27 +1,26 @@
-// Modular arithmetic on Bigint: modular multiplication and three modular
-// exponentiation strategies (plain binary, sliding window, Montgomery).
+// Modular arithmetic on Bigint: modular multiplication and modular
+// exponentiation.
 //
-// `modexp` is the facade everything else calls; it picks Montgomery for odd
-// moduli and the windowed method otherwise. The individual strategies stay
-// public for the A2 ablation benchmark.
+// `modexp` is the facade everything else calls; it runs odd moduli up to
+// 2048 bits on the Montgomery ladder of the shared per-modulus FpCtx
+// (bigint/limbs.h) and everything else — even moduli, wider moduli, short
+// exponents — on the division-based sliding window. `modexp_binary` is
+// the textbook oracle the tests compare every fast path against.
 //
 // Fixed-modulus fast path: the RSA, blind-signature, CL and ZKP layers fire
 // thousands of exponentiations against the same handful of moduli, so the
 // Montgomery precomputation (R mod m, R² mod m — two full divisions) is
-// cached per modulus. `montgomery_ctx(m)` returns the shared context, and
-// `modexp(base, exp, ctx)` lets session-lifetime callers skip even the
-// cache lookup. The facade uses the cache transparently.
+// cached per modulus by `fp_ctx(m)`, and `modexp(base, exp, ctx)` lets
+// session-lifetime callers skip even the cache lookup.
 #pragma once
 
-#include <cstddef>
-#include <memory>
 #include <optional>
 
 #include "bigint/bigint.h"
 
 namespace ppms {
 
-class MontgomeryCtx;
+class FpCtx;
 
 /// (a * b) mod m, with m > 0.
 Bigint modmul(const Bigint& a, const Bigint& b, const Bigint& m);
@@ -34,32 +33,15 @@ Bigint modexp(const Bigint& base, const Bigint& exp, const Bigint& m);
 /// Requires exp >= 0. This is the hot-path entry point for callers that
 /// hold a context for a session's lifetime (RSA keys, ZKP groups, tower
 /// primes).
-Bigint modexp(const Bigint& base, const Bigint& exp,
-              const MontgomeryCtx& ctx);
-
-/// Shared per-modulus Montgomery context from the process-wide cache
-/// (created on first use; later calls for the same modulus are a
-/// shared-lock lookup). Requires m odd and > 1, like MontgomeryCtx itself.
-/// The returned pointer stays valid even if the cache is cleared.
-std::shared_ptr<const MontgomeryCtx> montgomery_ctx(const Bigint& m);
-
-/// Number of cached Montgomery contexts (observability for tests/bench).
-std::size_t montgomery_cache_size();
-
-/// Drop all cached contexts (outstanding shared_ptrs stay alive).
-void montgomery_cache_clear();
+Bigint modexp(const Bigint& base, const Bigint& exp, const FpCtx& ctx);
 
 /// Left-to-right square-and-multiply (baseline strategy).
 Bigint modexp_binary(const Bigint& base, const Bigint& exp, const Bigint& m);
 
-/// Sliding-window exponentiation (window 4) without Montgomery form.
+/// Sliding-window exponentiation (window 4) without Montgomery form: the
+/// facade's path for even moduli, moduli wider than 2048 bits and short
+/// exponents.
 Bigint modexp_window(const Bigint& base, const Bigint& exp, const Bigint& m);
-
-/// Montgomery-form sliding-window exponentiation. Requires m odd; m == 1
-/// yields canonical zero like the other strategies. Builds a throwaway
-/// context — the uncached baseline the ablation bench compares against.
-Bigint modexp_montgomery(const Bigint& base, const Bigint& exp,
-                         const Bigint& m);
 
 /// Square root of a modulo an odd prime p (Tonelli-Shanks; a single
 /// exponentiation when p ≡ 3 mod 4). Returns one of the two roots in

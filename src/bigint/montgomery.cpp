@@ -1,299 +1,27 @@
 #include "bigint/montgomery.h"
 
-#include <array>
 #include <stdexcept>
 
 namespace ppms {
 
-namespace {
-
-// -x^{-1} mod 2^32 for odd x, by Newton iteration (doubles correct bits).
-std::uint32_t neg_inverse_u32(std::uint32_t x) {
-  std::uint32_t inv = x;  // correct to 3 bits (x odd => x*x ≡ 1 mod 8)
-  for (int i = 0; i < 4; ++i) inv *= 2 - x * inv;
-  return ~inv + 1;  // -(x^{-1})
-}
-
-}  // namespace
-
-bool MontgomeryCtx::would_use_flat(const Bigint& m) {
-  return flat_limbs_enabled() && FpCtx::supports(m) &&
-         m.raw_limbs().size() % 2 == 0;
-}
-
-MontgomeryCtx::MontgomeryCtx(const Bigint& m) : m_(m) {
-  if (m.sign() <= 0 || m.is_even() || m.is_one()) {
-    throw std::invalid_argument("MontgomeryCtx: modulus must be odd and > 1");
-  }
-  m_limbs_ = m.raw_limbs();
-  n0_ = neg_inverse_u32(m_limbs_[0]);
-  const std::size_t n = m_limbs_.size();
-  const Bigint r = Bigint::two_pow(32 * n);
-  r_mod_m_ = r.mod(m_);
-  r2_mod_m_ = (r_mod_m_ * r_mod_m_).mod(m_);
-  if (would_use_flat(m)) fp_ = fp_ctx(m);
-}
-
-std::vector<std::uint32_t> MontgomeryCtx::reduce(
-    const std::vector<std::uint32_t>& t) const {
-  // CIOS Montgomery reduction of t (< m * R) to t * R^{-1} mod m.
-  const std::size_t n = m_limbs_.size();
-  // The "multiply" part of REDC is already done, so work starts as t
-  // (padded to 2n+1) and we fold limb by limb.
-  std::vector<std::uint32_t> work(2 * n + 1, 0);
-  for (std::size_t i = 0; i < t.size() && i < work.size(); ++i) work[i] = t[i];
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t u = work[i] * n0_;
-    std::uint64_t carry = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::uint64_t cur =
-          static_cast<std::uint64_t>(work[i + j]) +
-          static_cast<std::uint64_t>(u) * m_limbs_[j] + carry;
-      work[i + j] = static_cast<std::uint32_t>(cur);
-      carry = cur >> 32;
-    }
-    std::size_t k = i + n;
-    while (carry) {
-      // The accumulated value is < R² + m·R < 2^(64n+1), so the ripple can
-      // reach work[2n] but never past it; a wider t would silently write
-      // out of bounds, hence the hard check.
-      if (k >= work.size()) {
-        throw std::logic_error("MontgomeryCtx::reduce: carry out of bounds");
-      }
-      const std::uint64_t cur = static_cast<std::uint64_t>(work[k]) + carry;
-      work[k] = static_cast<std::uint32_t>(cur);
-      carry = cur >> 32;
-      ++k;
-    }
-  }
-  // Result is work[n .. 2n].
-  std::vector<std::uint32_t> res(work.begin() + static_cast<std::ptrdiff_t>(n),
-                                 work.end());
-  Bigint r = Bigint::from_raw_limbs(std::move(res));
-  if (r >= m_) r -= m_;
-  // In-domain inputs (t < m·R) are fully reduced by the single subtraction;
-  // from_mont on an arbitrary 2n-limb value (t up to R²-1) can leave up to
-  // R + m, so fall back to a real reduction rather than return a value >= m.
-  if (r >= m_) r = r.mod(m_);
-  return r.raw_limbs();
-}
-
-Bigint MontgomeryCtx::to_mont(const Bigint& x) const {
-  return mul(x.mod(m_), r2_mod_m_);
-}
-
-Bigint MontgomeryCtx::from_mont(const Bigint& x) const {
-  if (fp_ && !x.is_negative() &&
-      x.raw_limbs().size() <= 2 * m_limbs_.size()) {
-    // Same R (see would_use_flat), so the wide 64-bit REDC computes the
-    // identical x·R^{-1} mod m value.
-    return fp_->redc_wide(x);
-  }
-  return Bigint::from_raw_limbs(reduce(x.raw_limbs()));
-}
-
-Bigint MontgomeryCtx::mul(const Bigint& a, const Bigint& b) const {
-  const std::size_t n = m_limbs_.size();
-  const std::vector<std::uint32_t>& al = a.raw_limbs();
-  const std::vector<std::uint32_t>& bl = b.raw_limbs();
-  if (a.is_negative() || b.is_negative() || al.size() > n || bl.size() > n) {
-    // Out-of-domain operand: take the general multiply-then-reduce path.
-    const Bigint t = a * b;
-    return Bigint::from_raw_limbs(reduce(t.raw_limbs()));
-  }
-  if (fp_) {
-    // Flat bridge: one 64-bit CIOS instead of the 32-bit fused loop. Both
-    // fully reduce operands < m; for in-width operands >= m the same
-    // post-reduction fallback below applies.
-    FpElem r;
-    fp_->mul(r, fp_->pack(a), fp_->pack(b));
-    Bigint out = fp_->unpack(r);
-    if (out >= m_) out = out.mod(m_);
-    return out;
-  }
-  // Fused CIOS: interleave the a_i·b row products with the REDC folds so
-  // the double-width product never materializes. One accumulator of n+2
-  // limbs on the stack (moduli here are at most a few dozen limbs) is the
-  // whole working set — the separate a·b Bigint and the 2n+1-limb scratch
-  // of the unfused path were costing the hot paths more in allocator
-  // traffic than in arithmetic.
-  constexpr std::size_t kStackLimbs = 66;  // up to 2048-bit moduli
-  std::array<std::uint32_t, kStackLimbs + 2> stack_buf;
-  std::vector<std::uint32_t> heap_buf;
-  std::uint32_t* t;
-  if (n <= kStackLimbs) {
-    t = stack_buf.data();
-  } else {
-    heap_buf.resize(n + 2);
-    t = heap_buf.data();
-  }
-  for (std::size_t i = 0; i < n + 2; ++i) t[i] = 0;
-
-  for (std::size_t i = 0; i < n; ++i) {
-    // t += a_i · b.
-    const std::uint64_t ai = i < al.size() ? al[i] : 0;
-    std::uint64_t carry = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::uint64_t bj = j < bl.size() ? bl[j] : 0;
-      const std::uint64_t cur =
-          static_cast<std::uint64_t>(t[j]) + ai * bj + carry;
-      t[j] = static_cast<std::uint32_t>(cur);
-      carry = cur >> 32;
-    }
-    std::uint64_t cur = static_cast<std::uint64_t>(t[n]) + carry;
-    t[n] = static_cast<std::uint32_t>(cur);
-    t[n + 1] = static_cast<std::uint32_t>(cur >> 32);
-    // REDC fold: make t divisible by 2^32 and shift down one limb.
-    const std::uint32_t u = t[0] * n0_;
-    cur = static_cast<std::uint64_t>(t[0]) +
-          static_cast<std::uint64_t>(u) * m_limbs_[0];
-    carry = cur >> 32;
-    for (std::size_t j = 1; j < n; ++j) {
-      cur = static_cast<std::uint64_t>(t[j]) +
-            static_cast<std::uint64_t>(u) * m_limbs_[j] + carry;
-      t[j - 1] = static_cast<std::uint32_t>(cur);
-      carry = cur >> 32;
-    }
-    cur = static_cast<std::uint64_t>(t[n]) + carry;
-    t[n - 1] = static_cast<std::uint32_t>(cur);
-    t[n] = t[n + 1] + static_cast<std::uint32_t>(cur >> 32);
-    t[n + 1] = 0;
-  }
-
-  // Result sits in t[0..n] with t[n] <= 1; one conditional subtraction of
-  // m brings in-domain operands (< m) fully below m.
-  bool ge = t[n] != 0;
-  if (!ge) {
-    ge = true;
-    for (std::size_t j = n; j-- > 0;) {
-      if (t[j] != m_limbs_[j]) {
-        ge = t[j] > m_limbs_[j];
-        break;
-      }
-    }
-  }
-  if (ge) {
-    std::uint64_t borrow = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::uint64_t cur = static_cast<std::uint64_t>(t[j]) -
-                                m_limbs_[j] - borrow;
-      t[j] = static_cast<std::uint32_t>(cur);
-      borrow = (cur >> 32) & 1;
-    }
-    t[n] -= static_cast<std::uint32_t>(borrow);
-  }
-  Bigint r = Bigint::from_raw_limbs(
-      std::vector<std::uint32_t>(t, t + n + 1));
-  // Operands below m always land below m after the one subtraction; the
-  // fallback covers callers that passed n-limb values >= m.
-  if (r >= m_) r = r.mod(m_);
-  return r;
-}
-
-Bigint MontgomeryCtx::pow(const Bigint& base, const Bigint& exp) const {
-  if (exp.is_negative()) {
-    throw std::invalid_argument("MontgomeryCtx::pow: negative exponent");
-  }
-  if (exp.is_zero()) return Bigint(1).mod(m_);
-
-  if (fp_) {
-    // Same sliding-window schedule, run natively on stack residues: the
-    // whole ladder is allocation-free and converts to Bigint exactly once
-    // at each end. Every intermediate is the same fully reduced value the
-    // 32-bit ladder holds, so results match bit for bit.
-    const FpCtx& F = *fp_;
-    const FpElem b_mont = F.to_mont(base);
-    constexpr std::size_t kWindow = 4;
-    std::array<FpElem, 1 << (kWindow - 1)> odd_powers;
-    odd_powers[0] = b_mont;
-    FpElem b2;
-    F.sqr(b2, b_mont);
-    for (std::size_t i = 1; i < odd_powers.size(); ++i) {
-      F.mul(odd_powers[i], odd_powers[i - 1], b2);
-    }
-    FpElem acc = F.one();
-    std::ptrdiff_t i = static_cast<std::ptrdiff_t>(exp.bit_length()) - 1;
-    while (i >= 0) {
-      if (!exp.bit(static_cast<std::size_t>(i))) {
-        F.sqr(acc, acc);
-        --i;
-        continue;
-      }
-      std::ptrdiff_t j = std::max<std::ptrdiff_t>(0, i - kWindow + 1);
-      while (!exp.bit(static_cast<std::size_t>(j))) ++j;
-      std::uint32_t window = 0;
-      for (std::ptrdiff_t k = i; k >= j; --k) {
-        F.sqr(acc, acc);
-        window =
-            (window << 1) | (exp.bit(static_cast<std::size_t>(k)) ? 1 : 0);
-      }
-      F.mul(acc, acc, odd_powers[(window - 1) / 2]);
-      i = j - 1;
-    }
-    return F.from_mont(acc);
-  }
-
-  const Bigint b_mont = to_mont(base);
-  // Sliding window of width 4: precompute odd powers b^1, b^3, ..., b^15.
-  constexpr std::size_t kWindow = 4;
-  std::array<Bigint, 1 << (kWindow - 1)> odd_powers;
-  odd_powers[0] = b_mont;
-  const Bigint b2 = mul(b_mont, b_mont);
-  for (std::size_t i = 1; i < odd_powers.size(); ++i) {
-    odd_powers[i] = mul(odd_powers[i - 1], b2);
-  }
-
-  Bigint acc = r_mod_m_;  // 1 in Montgomery form
-  std::ptrdiff_t i = static_cast<std::ptrdiff_t>(exp.bit_length()) - 1;
-  while (i >= 0) {
-    if (!exp.bit(static_cast<std::size_t>(i))) {
-      acc = mul(acc, acc);
-      --i;
-      continue;
-    }
-    // Find the longest window [j, i] with j > i - kWindow whose low bit is 1.
-    std::ptrdiff_t j = std::max<std::ptrdiff_t>(0, i - kWindow + 1);
-    while (!exp.bit(static_cast<std::size_t>(j))) ++j;
-    std::uint32_t window = 0;
-    for (std::ptrdiff_t k = i; k >= j; --k) {
-      acc = mul(acc, acc);
-      window = (window << 1) | (exp.bit(static_cast<std::size_t>(k)) ? 1 : 0);
-    }
-    acc = mul(acc, odd_powers[(window - 1) / 2]);
-    i = j - 1;
-  }
-  return from_mont(acc);
-}
-
-FixedBasePow::FixedBasePow(std::shared_ptr<const MontgomeryCtx> ctx,
+FixedBasePow::FixedBasePow(std::shared_ptr<const FpCtx> ctx,
                            const Bigint& base, std::size_t max_exp_bits)
     : ctx_(std::move(ctx)), base_(base) {
   if (!ctx_) {
     throw std::invalid_argument("FixedBasePow: null context");
   }
+  const FpCtx& F = *ctx_;
   const std::size_t digits = (max_exp_bits + 3) / 4;
   table_.resize(digits);
   // cur = base^(16^i) in Montgomery form, advanced one digit per row via
   // base^(15·16^i) · base^(16^i) — one product instead of four squarings.
-  Bigint cur = ctx_->to_mont(base);
+  FpElem cur = F.to_mont(base);
   for (std::size_t i = 0; i < digits; ++i) {
     auto& row = table_[i];
-    row.reserve(15);
-    row.push_back(cur);
-    for (int d = 2; d <= 15; ++d) {
-      row.push_back(ctx_->mul(row.back(), cur));
-    }
-    cur = ctx_->mul(row.back(), cur);
-  }
-  if (const FpCtx* F = ctx_->flat_ctx()) {
-    flat_table_.resize(table_.size());
-    for (std::size_t i = 0; i < table_.size(); ++i) {
-      flat_table_[i].reserve(table_[i].size());
-      for (const Bigint& entry : table_[i]) {
-        flat_table_[i].push_back(F->pack(entry));
-      }
-    }
+    row.resize(15);
+    row[0] = cur;
+    for (std::size_t d = 1; d < 15; ++d) F.mul(row[d], row[d - 1], cur);
+    F.mul(cur, row[14], cur);
   }
 }
 
@@ -303,49 +31,38 @@ Bigint FixedBasePow::pow(const Bigint& exp) const {
   }
   const std::size_t bits = exp.bit_length();
   if (bits > 4 * table_.size()) return ctx_->pow(base_, exp);
-  // Flat path: gather the nonzero-digit entries and fold them pairwise,
-  // each tree level one lane-batched mul_batch call. Montgomery products
-  // of reduced operands are canonical, so the balanced tree returns the
-  // same limbs as the sequential acc-chain below.
-  if (!flat_table_.empty()) {
-    const FpCtx* F = ctx_->flat_ctx();
-    std::vector<const FpElem*> items;
-    items.reserve((bits + 3) / 4);
-    for (std::size_t i = 0; i * 4 < bits; ++i) {
-      const std::uint32_t d = (exp.bit(4 * i) ? 1u : 0u) |
-                              (exp.bit(4 * i + 1) ? 2u : 0u) |
-                              (exp.bit(4 * i + 2) ? 4u : 0u) |
-                              (exp.bit(4 * i + 3) ? 8u : 0u);
-      if (d) items.push_back(&flat_table_[i][d - 1]);
-    }
-    if (items.empty()) return ctx_->from_mont(ctx_->mont_one());
-    std::vector<FpElem> buf(items.size());  // stable fold scratch
-    std::vector<FpCtx::MulJob> jobs;
-    std::size_t used = 0;
-    while (items.size() > 1) {
-      jobs.clear();
-      std::size_t out = 0;
-      std::size_t i = 0;
-      for (; i + 1 < items.size(); i += 2) {
-        FpElem& dst = buf[used++];
-        jobs.push_back(FpCtx::MulJob{&dst, items[i], items[i + 1]});
-        items[out++] = &dst;
-      }
-      if (i < items.size()) items[out++] = items[i];
-      items.resize(out);
-      F->mul_batch(jobs.data(), jobs.size());
-    }
-    return F->from_mont(*items[0]);
-  }
-  Bigint acc = ctx_->mont_one();
+  const FpCtx& F = *ctx_;
+  // Gather the nonzero-digit entries and fold them pairwise, each tree
+  // level one lane-batched mul_batch call. Montgomery products of reduced
+  // operands are canonical, so the balanced tree returns the same limbs as
+  // a sequential product chain.
+  std::vector<const FpElem*> items;
+  items.reserve((bits + 3) / 4);
   for (std::size_t i = 0; i * 4 < bits; ++i) {
     const std::uint32_t d = (exp.bit(4 * i) ? 1u : 0u) |
                             (exp.bit(4 * i + 1) ? 2u : 0u) |
                             (exp.bit(4 * i + 2) ? 4u : 0u) |
                             (exp.bit(4 * i + 3) ? 8u : 0u);
-    if (d) acc = ctx_->mul(acc, table_[i][d - 1]);
+    if (d) items.push_back(&table_[i][d - 1]);
   }
-  return ctx_->from_mont(acc);
+  if (items.empty()) return Bigint(1);
+  std::vector<FpElem> buf(items.size());  // stable fold scratch
+  std::vector<FpCtx::MulJob> jobs;
+  std::size_t used = 0;
+  while (items.size() > 1) {
+    jobs.clear();
+    std::size_t out = 0;
+    std::size_t i = 0;
+    for (; i + 1 < items.size(); i += 2) {
+      FpElem& dst = buf[used++];
+      jobs.push_back(FpCtx::MulJob{&dst, items[i], items[i + 1]});
+      items[out++] = &dst;
+    }
+    if (i < items.size()) items[out++] = items[i];
+    items.resize(out);
+    F.mul_batch(jobs.data(), jobs.size());
+  }
+  return F.from_mont(*items[0]);
 }
 
 }  // namespace ppms

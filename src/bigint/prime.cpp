@@ -2,28 +2,26 @@
 
 #include <stdexcept>
 
-#include "bigint/modarith.h"
-#include "bigint/montgomery.h"
+#include "bigint/limbs.h"
 
 namespace ppms {
 
 namespace {
 
-// One Miller-Rabin witness against a context whose modulus is n, with
-// n - 1 = d·2^s already decomposed. The squaring chain stays in the
-// Montgomery domain; only the comparisons need the precomputed images of 1
-// and n-1. Reusing one ctx across every round/witness is what makes
+// One Miller-Rabin witness against n, with n - 1 = d·2^s already
+// decomposed. The squaring chain stays in the Montgomery domain of the
+// candidate's own context; only the comparisons need the precomputed image
+// of n-1. Reusing one context across every round/witness is what makes
 // candidate testing cheap: the R/R² setup divisions are paid once per
 // candidate instead of once per witness.
-bool miller_rabin_witness(const MontgomeryCtx& ctx, const Bigint& d,
-                          std::size_t s, const Bigint& base,
-                          const Bigint& one_mont, const Bigint& n1_mont) {
-  Bigint x = ctx.to_mont(ctx.pow(base, d));
-  if (x == one_mont || x == n1_mont) return true;
+bool miller_rabin_witness(const FpCtx& F, const Bigint& d, std::size_t s,
+                          const Bigint& base, const FpElem& n1_mont) {
+  FpElem x = F.to_mont(F.pow(base, d));
+  if (F.equal(x, F.one()) || F.equal(x, n1_mont)) return true;
   for (std::size_t i = 1; i < s; ++i) {
-    x = ctx.mul(x, x);
-    if (x == n1_mont) return true;
-    if (x == one_mont) return false;  // nontrivial sqrt of 1 => composite
+    F.sqr(x, x);
+    if (F.equal(x, n1_mont)) return true;
+    if (F.equal(x, F.one())) return false;  // nontrivial sqrt of 1
   }
   return false;
 }
@@ -106,9 +104,8 @@ bool miller_rabin_round(const Bigint& n, const Bigint& base) {
     d = d >> 1;
     ++s;
   }
-  const MontgomeryCtx ctx(n);
-  return miller_rabin_witness(ctx, d, s, base, ctx.mont_one(),
-                              ctx.to_mont(n_minus_1));
+  const FpCtx F(n);
+  return miller_rabin_witness(F, d, s, base, F.to_mont(n_minus_1));
 }
 
 bool is_probable_prime(const Bigint& n, SecureRandom& rng, int rounds) {
@@ -121,7 +118,7 @@ bool is_probable_prime(const Bigint& n, SecureRandom& rng, int rounds) {
 
   // Decompose n - 1 = d·2^s and build the Montgomery context once; every
   // witness reuses both. Deliberately a local context, not the shared
-  // cache: candidates are throwaway moduli and would only thrash it.
+  // fp_ctx cache: candidates are throwaway moduli and would only thrash it.
   const Bigint n_minus_1 = n - Bigint(1);
   Bigint d = n_minus_1;
   std::size_t s = 0;
@@ -129,14 +126,13 @@ bool is_probable_prime(const Bigint& n, SecureRandom& rng, int rounds) {
     d = d >> 1;
     ++s;
   }
-  const MontgomeryCtx ctx(n);
-  const Bigint one_mont = ctx.mont_one();
-  const Bigint n1_mont = ctx.to_mont(n_minus_1);
+  const FpCtx F(n);
+  const FpElem n1_mont = F.to_mont(n_minus_1);
 
   const Bigint n_minus_2 = n - Bigint(2);
   for (int i = 0; i < rounds; ++i) {
     const Bigint base = Bigint::random_range(rng, Bigint(2), n_minus_2);
-    if (!miller_rabin_witness(ctx, d, s, base, one_mont, n1_mont)) {
+    if (!miller_rabin_witness(F, d, s, base, n1_mont)) {
       return false;
     }
   }

@@ -2,7 +2,9 @@
 //
 // Miller-Rabin with a small-prime trial-division prefilter. Error
 // probability is <= 4^-rounds per composite; the default 32 rounds makes a
-// false positive less likely than hardware failure.
+// false positive less likely than hardware failure. The rounds run on the
+// candidate's FpCtx (bigint/limbs.h), so candidates are limited to its
+// 2048-bit width: wider odd inputs throw std::invalid_argument.
 #pragma once
 
 #include <cstdint>

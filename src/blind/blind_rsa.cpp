@@ -14,14 +14,12 @@ std::pair<BlindedMessage, BlindingState> rsa_blind(const RsaPublicKey& key,
   if (!op_counting_paused()) obs_enc.add();
   const Bigint h = rsa_fdh(key, msg);
   // r must be invertible mod n; a random unit is found immediately for any
-  // honest modulus (non-units reveal a factor of n). The key's Montgomery
-  // context is held across retries (and shared with every other operation
-  // under this key).
-  const auto ctx = montgomery_ctx(key.n);
+  // honest modulus (non-units reveal a factor of n). The facade serves r^e
+  // from the key's cached Montgomery context.
   for (;;) {
     const Bigint r = Bigint::random_range(rng, Bigint(2), key.n);
     if (!gcd(r, key.n).is_one()) continue;
-    const Bigint blinded = (h * modexp(r, key.e, *ctx)).mod(key.n);
+    const Bigint blinded = (h * modexp(r, key.e, key.n)).mod(key.n);
     return {BlindedMessage{blinded}, BlindingState{modinv(r, key.n)}};
   }
 }

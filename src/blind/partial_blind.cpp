@@ -30,11 +30,10 @@ std::pair<PbsBlindedMessage, PbsBlindingState> pbs_blind(
   if (!op_counting_paused()) obs_enc.add();
   const Bigint ea = pbs_info_exponent(key, info);
   const Bigint h = rsa_fdh(key, m);
-  const auto ctx = montgomery_ctx(key.n);  // shared per-key context
   for (;;) {
     const Bigint r = Bigint::random_range(rng, Bigint(2), key.n);
     if (!gcd(r, key.n).is_one()) continue;
-    const Bigint blinded = (h * modexp(r, ea, *ctx)).mod(key.n);
+    const Bigint blinded = (h * modexp(r, ea, key.n)).mod(key.n);
     return {PbsBlindedMessage{blinded}, PbsBlindingState{modinv(r, key.n)}};
   }
 }
@@ -52,7 +51,7 @@ std::optional<Bigint> pbs_sign(const RsaPrivateKey& key,
   if (blinded.value.is_negative() || blinded.value >= key.n) {
     throw std::invalid_argument("pbs_sign: blinded value out of range");
   }
-  return modexp(blinded.value, da, *montgomery_ctx(key.n));
+  return modexp(blinded.value, da, key.n);
 }
 
 Bytes pbs_unblind(const RsaPublicKey& key, const Bigint& blind_sig,

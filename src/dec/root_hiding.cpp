@@ -175,7 +175,7 @@ RootHidingSpend make_root_hiding_spend(const DecParams& params,
   // The inner base h and modulus (tower prime o_2) are fixed across all
   // rounds: one digit table turns every h^nonce into a handful of
   // Montgomery products instead of a full ladder per round.
-  const FixedBasePow h_pow(montgomery_ctx(ts.inner_modulus), ts.h,
+  const FixedBasePow h_pow(fp_ctx(ts.inner_modulus), ts.h,
                            r_order.bit_length());
   std::vector<Bigint> nonces;
   nonces.reserve(rounds);
@@ -259,7 +259,7 @@ bool verify_hiding_core(const DecParams& params, const ClPublicKey& bank_pk,
   const ZnGroup& g1 = params.tower[1];
   const Bigint& r_order = params.pairing.r;
   const Bytes bits = challenge_bits(params, spend, gts, ts, rounds);
-  const FixedBasePow h_pow(montgomery_ctx(ts.inner_modulus), ts.h,
+  const FixedBasePow h_pow(fp_ctx(ts.inner_modulus), ts.h,
                            r_order.bit_length());  // shared by all rounds
   for (std::size_t i = 0; i < rounds; ++i) {
     const Bigint& z = spend.responses[i];

@@ -29,9 +29,9 @@ class DecSession {
 
   const GtGroup& gt() const { return gt_; }
 
-  /// The group's engine; never null for validated DEC parameters (the
-  /// pairing field prime is checked odd at setup/deserialize time).
-  const PairingEngine& engine() const { return *gt_.engine(); }
+  /// The group's engine (GtGroup rejects a field it cannot serve, so a
+  /// constructed session always has one).
+  const PairingEngine& engine() const { return gt_.engine(); }
 
   /// Miller table for the curve generator g.
   const PairingPrecomp& pre_g() const { return pre_g_; }

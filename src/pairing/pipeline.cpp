@@ -6,34 +6,13 @@
 #include <utility>
 
 #include "bigint/limbs.h"
-#include "bigint/modarith.h"
 #include "bigint/simd.h"
-#include "bigint/montgomery.h"
 #include "obs/metrics.h"
 #include "pairing/fp.h"
 
 namespace ppms {
 
 namespace {
-
-// F_p² element with both coordinates in Montgomery form. fp_add/fp_sub/
-// fp_neg are linear, so they work unchanged on Montgomery residues; only
-// products go through the context.
-struct F2 {
-  Bigint a, b;
-};
-
-// Jacobian point with Montgomery-form coordinates; Z = 0 is infinity.
-struct Jac {
-  Bigint X, Y, Z;
-  bool at_infinity() const { return Z.is_zero(); }
-};
-
-// Line coefficients (Montgomery form): the value at φ(Q) = (-xq, i·yq) is
-// (c0 + c1·xq) + (c2·yq)·i. The unit line is (1, 0, 0).
-struct Line {
-  Bigint c0, c1, c2;
-};
 
 struct PairingCounters {
   obs::Counter& calls;
@@ -50,171 +29,34 @@ PairingCounters& counters() {
   return c;
 }
 
-F2 f2_one(const MontgomeryCtx& M) { return {M.mont_one(), Bigint(0)}; }
-
-F2 f2_mul(const MontgomeryCtx& M, const Bigint& p, const F2& x, const F2& y) {
-  const Bigint ac = M.mul(x.a, y.a);
-  const Bigint bd = M.mul(x.b, y.b);
-  const Bigint cross = M.mul(fp_add(x.a, x.b, p), fp_add(y.a, y.b, p));
-  return {fp_sub(ac, bd, p), fp_sub(fp_sub(cross, ac, p), bd, p)};
-}
-
-F2 f2_sq(const MontgomeryCtx& M, const Bigint& p, const F2& x) {
-  const Bigint t1 = M.mul(fp_add(x.a, x.b, p), fp_sub(x.a, x.b, p));
-  const Bigint t2 = M.mul(x.a, x.b);
-  return {t1, fp_add(t2, t2, p)};
-}
-
-F2 f2_conj(const Bigint& p, const F2& x) { return {x.a, fp_neg(x.b, p)}; }
-
-F2 f2_inv(const MontgomeryCtx& M, const Bigint& p, const F2& x) {
-  const Bigint norm = M.from_mont(fp_add(M.mul(x.a, x.a), M.mul(x.b, x.b), p));
-  if (norm.is_zero()) throw std::domain_error("pairing: zero element");
-  const Bigint ninv = M.to_mont(fp_inv(norm, p));
-  return {M.mul(x.a, ninv), M.mul(fp_neg(x.b, p), ninv)};
-}
-
-F2 f2_pow(const MontgomeryCtx& M, const Bigint& p, const F2& x,
-          const Bigint& e) {
-  F2 acc = f2_one(M);
-  for (std::size_t i = e.bit_length(); i-- > 0;) {
-    acc = f2_sq(M, p, acc);
-    if (e.bit(i)) acc = f2_mul(M, p, acc, x);
-  }
-  return acc;
-}
-
-Line unit_line(const MontgomeryCtx& M) {
-  return {M.mont_one(), Bigint(0), Bigint(0)};
-}
-
-F2 eval_line(const MontgomeryCtx& M, const Bigint& p, const Line& line,
-             const Bigint& xq, const Bigint& yq) {
-  return {fp_add(line.c0, M.mul(line.c1, xq), p), M.mul(line.c2, yq)};
-}
-
-// The Jacobian doubling/addition steps below mirror pairing/tate.cpp
-// exactly, except that every product is a Montgomery product and the line
-// comes back as coefficients (so it can be recorded in a PairingPrecomp
-// table or evaluated against any Q). Degenerate events return the unit
-// line, same as the reference loop.
-
-Line dbl_step(const MontgomeryCtx& M, const Bigint& p, Jac& V) {
-  if (V.at_infinity()) return unit_line(M);
-  if (V.Y.is_zero()) {  // order-2 point: vertical tangent
-    V = Jac{M.mont_one(), M.mont_one(), Bigint(0)};
-    return unit_line(M);
-  }
-  const Bigint T = M.mul(V.Z, V.Z);
-  const Bigint A = M.mul(V.X, V.X);
-  const Bigint B = M.mul(V.Y, V.Y);
-  const Bigint C = M.mul(B, B);
-  const Bigint xb = fp_add(V.X, B, p);
-  Bigint D = fp_sub(fp_sub(M.mul(xb, xb), A, p), C, p);
-  D = fp_add(D, D, p);
-  const Bigint E = fp_add(fp_add(fp_add(A, A, p), A, p), M.mul(T, T), p);
-  const Bigint X3 = fp_sub(M.mul(E, E), fp_add(D, D, p), p);
-  Bigint c8 = fp_add(C, C, p);
-  c8 = fp_add(c8, c8, p);
-  c8 = fp_add(c8, c8, p);
-  const Bigint Y3 = fp_sub(M.mul(E, fp_sub(D, X3, p)), c8, p);
-  const Bigint yz = M.mul(V.Y, V.Z);
-  const Bigint Z3 = fp_add(yz, yz, p);
-  // real = E·(X + xq·T) - 2Y² = (E·X - 2Y²) + (E·T)·xq,  imag = (Z₃·T)·yq.
-  Line line;
-  line.c0 = fp_sub(M.mul(E, V.X), fp_add(B, B, p), p);
-  line.c1 = M.mul(E, T);
-  line.c2 = M.mul(Z3, T);
-  V = Jac{X3, Y3, Z3};
-  return line;
-}
-
-Line add_step(const MontgomeryCtx& M, const Bigint& p, Jac& V,
-              const Bigint& px, const Bigint& py) {
-  if (V.at_infinity()) {
-    V = Jac{px, py, M.mont_one()};
-    return unit_line(M);
-  }
-  const Bigint T = M.mul(V.Z, V.Z);
-  const Bigint U2 = M.mul(px, T);
-  const Bigint S2 = M.mul(py, M.mul(T, V.Z));
-  const Bigint H = fp_sub(U2, V.X, p);
-  const Bigint R = fp_sub(S2, V.Y, p);
-  if (H.is_zero()) {
-    if (R.is_zero()) return dbl_step(M, p, V);  // V == P: tangent
-    // V == -P: vertical line, sum is the point at infinity.
-    V = Jac{M.mont_one(), M.mont_one(), Bigint(0)};
-    return unit_line(M);
-  }
-  const Bigint H2 = M.mul(H, H);
-  const Bigint H3 = M.mul(H, H2);
-  const Bigint XH2 = M.mul(V.X, H2);
-  const Bigint X3 =
-      fp_sub(fp_sub(M.mul(R, R), H3, p), fp_add(XH2, XH2, p), p);
-  const Bigint Y3 =
-      fp_sub(M.mul(R, fp_sub(XH2, X3, p)), M.mul(V.Y, H3), p);
-  const Bigint Z3 = M.mul(V.Z, H);
-  // real = R·(xq + xp) - yp·Z₃ = (R·xp - yp·Z₃) + R·xq,  imag = Z₃·yq.
-  Line line;
-  line.c0 = fp_sub(M.mul(R, px), M.mul(py, Z3), p);
-  line.c1 = R;
-  line.c2 = Z3;
-  V = Jac{X3, Y3, Z3};
-  return line;
-}
-
-// f^{(p²-1)/r} = (conj(f)·f^{-1})^h, entirely in the Montgomery domain.
-// The fp_inv inside f2_inv is the pairing's only field inversion.
-F2 final_exp(const MontgomeryCtx& M, const Bigint& p, const Bigint& h,
-             const F2& f) {
-  return f2_pow(M, p, f2_mul(M, p, f2_conj(p, f), f2_inv(M, p, f)), h);
-}
-
-// ---------------------------------------------------------------------------
-// Flat-limb mirror of the machinery above (bigint/limbs.h). Same formula
-// sequences applied to the same fully reduced residues, so every ordinary-
-// form value leaving this path is bit-identical to the Bigint path — the
-// difference is purely mechanical: stack-resident FpElem operands, 64-bit
-// CIOS products, and zero allocator traffic inside the loops.
-
-// Miller loops actually run on the flat kernels (vs. ctr.miller, which
-// counts both paths) — the observable that pins which kernel served a call.
-obs::Counter& flat_miller_counter() {
-  static obs::Counter& c = obs::counter("crypto.fp.flat_miller");
-  return c;
-}
-
-struct FJac {
+// Jacobian point with Montgomery-form coordinates; Z = 0 is infinity.
+struct Jac {
   FpElem X, Y, Z;
 };
 
-struct FLine {
+// Line coefficients (Montgomery form): the value at φ(Q) = (-xq, i·yq) is
+// (c0 + c1·xq) + (c2·yq)·i. The unit line is (1, 0, 0).
+struct Line {
   FpElem c0, c1, c2;
 };
 
-FLine funit_line(const FpCtx& F) { return {F.one(), F.zero(), F.zero()}; }
+Line unit_line(const FpCtx& F) { return {F.one(), F.zero(), F.zero()}; }
 
-FpElem fload(const std::uint64_t* src, std::size_t n) {
+FpElem load(const std::uint64_t* src, std::size_t n) {
   FpElem e;
   std::copy(src, src + n, e.v.begin());
   return e;
 }
 
-Fp2Elem feval_line(const FpCtx& F, const FLine& line, const FpElem& xq,
-                   const FpElem& yq) {
-  Fp2Elem v;
-  FpElem t;
-  F.mul(t, line.c1, xq);
-  F.add(v.a, line.c0, t);
-  F.mul(v.b, line.c2, yq);
-  return v;
-}
-
-FLine fdbl_step(const FpCtx& F, FJac& V) {
-  if (F.is_zero(V.Z)) return funit_line(F);
+// Doubling V ← 2V on y² = x³ + x, returning the tangent line at the old V
+// scaled by Z₃·Z² ∈ F_p* — a factor the (p-1) part of the final
+// exponentiation annihilates, which is what makes the step inversion-free:
+// real = (E·X - 2Y²) + (E·Z²)·xq, imag = (Z₃·Z²)·yq.
+Line dbl_step(const FpCtx& F, Jac& V) {
+  if (F.is_zero(V.Z)) return unit_line(F);
   if (F.is_zero(V.Y)) {  // order-2 point: vertical tangent
-    V = FJac{F.one(), F.one(), F.zero()};
-    return funit_line(F);
+    V = Jac{F.one(), F.one(), F.zero()};
+    return unit_line(F);
   }
   FpElem T, A, B, C, xb, D, E, X3, c8, Y3, Z3, t;
   F.sqr(T, V.Z);
@@ -241,21 +83,23 @@ FLine fdbl_step(const FpCtx& F, FJac& V) {
   F.sub(Y3, Y3, c8);
   F.mul(t, V.Y, V.Z);
   F.add(Z3, t, t);
-  FLine line;
+  Line line;
   F.mul(t, E, V.X);
   FpElem b2;
   F.add(b2, B, B);
   F.sub(line.c0, t, b2);
   F.mul(line.c1, E, T);
   F.mul(line.c2, Z3, T);
-  V = FJac{X3, Y3, Z3};
+  V = Jac{X3, Y3, Z3};
   return line;
 }
 
-FLine fadd_step(const FpCtx& F, FJac& V, const FpElem& px, const FpElem& py) {
+// Mixed addition V ← V + P (P affine), returning the line through V and P
+// scaled by Z₃: real = (R·xp - yp·Z₃) + R·xq, imag = Z₃·yq.
+Line add_step(const FpCtx& F, Jac& V, const FpElem& px, const FpElem& py) {
   if (F.is_zero(V.Z)) {
-    V = FJac{px, py, F.one()};
-    return funit_line(F);
+    V = Jac{px, py, F.one()};
+    return unit_line(F);
   }
   FpElem T, U2, S2, H, R, t, t2;
   F.sqr(T, V.Z);
@@ -265,10 +109,10 @@ FLine fadd_step(const FpCtx& F, FJac& V, const FpElem& px, const FpElem& py) {
   F.sub(H, U2, V.X);
   F.sub(R, S2, V.Y);
   if (F.is_zero(H)) {
-    if (F.is_zero(R)) return fdbl_step(F, V);  // V == P: tangent
+    if (F.is_zero(R)) return dbl_step(F, V);  // V == P: tangent
     // V == -P: vertical line, sum is the point at infinity.
-    V = FJac{F.one(), F.one(), F.zero()};
-    return funit_line(F);
+    V = Jac{F.one(), F.one(), F.zero()};
+    return unit_line(F);
   }
   FpElem H2, H3, XH2, X3, Y3, Z3;
   F.sqr(H2, H);
@@ -283,19 +127,19 @@ FLine fadd_step(const FpCtx& F, FJac& V, const FpElem& px, const FpElem& py) {
   F.mul(t2, V.Y, H3);
   F.sub(Y3, Y3, t2);
   F.mul(Z3, V.Z, H);
-  FLine line;
+  Line line;
   F.mul(t, R, px);
   F.mul(t2, py, Z3);
   F.sub(line.c0, t, t2);
   line.c1 = R;
   line.c2 = Z3;
-  V = FJac{X3, Y3, Z3};
+  V = Jac{X3, Y3, Z3};
   return line;
 }
 
-// Mirror of f2_inv: one instrumented fp_inv, everything else flat. Keeps
-// the "one field inversion per final exponentiation" budget intact.
-Fp2Elem ff2_inv(const FpCtx& F, const Fp2Elem& x) {
+// One instrumented fp_inv, everything else on FpElem: the pairing's only
+// field inversion.
+Fp2Elem f2_inv(const FpCtx& F, const Fp2Elem& x) {
   FpElem aa, bb, nrm;
   F.sqr(aa, x.a);
   F.sqr(bb, x.b);
@@ -311,10 +155,11 @@ Fp2Elem ff2_inv(const FpCtx& F, const Fp2Elem& x) {
   return r;
 }
 
-Fp2Elem f_final_exp(const FpCtx& F, const Bigint& h, const Fp2Elem& f) {
+// f^{(p²-1)/r} = (conj(f)·f^{-1})^h — Frobenius is conjugation in F_p[i].
+Fp2Elem final_exp(const FpCtx& F, const Bigint& h, const Fp2Elem& f) {
   Fp2Elem conj;
   fp2_conj(F, conj, f);
-  const Fp2Elem inv = ff2_inv(F, f);
+  const Fp2Elem inv = f2_inv(F, f);
   Fp2Elem base;
   fp2_mul(F, base, conj, inv);
   Fp2Elem out;
@@ -454,11 +299,15 @@ class Fp2Batch {
 }  // namespace
 
 PairingEngine::PairingEngine(TypeAParams params)
-    : params_(std::move(params)),
-      mont_(montgomery_ctx(params_.p)),
-      fp_(flat_limbs_enabled() && FpCtx::supports(params_.p)
-              ? fp_ctx(params_.p)
-              : nullptr) {}
+    : params_(std::move(params)), fp_(fp_ctx(params_.p)) {
+  // Steps per Miller loop: one doubling per bit below the top, plus one
+  // addition per set bit among them. A replayed table must hold exactly
+  // this many lines.
+  const Bigint& r = params_.r;
+  for (std::size_t i = r.bit_length() - 1; i-- > 0;) {
+    miller_steps_ += r.bit(i) ? 2 : 1;
+  }
+}
 
 PairingPrecomp PairingEngine::precompute(const EcPoint& P) const {
   if (!ec_on_curve(P, params_.p)) {
@@ -469,351 +318,173 @@ PairingPrecomp PairingEngine::precompute(const EcPoint& P) const {
   pre.built_ = true;
   if (P.infinity) return pre;  // every pairing against it is 1
 
-  const MontgomeryCtx& M = *mont_;
-  const Bigint& r = params_.r;
-  if (fp_) {
-    // Run the Miller loop on the flat kernels and record both encodings:
-    // flat coefficients for this mode's replay path, and the derived
-    // Bigint steps so the table stays valid if replayed by an oracle-mode
-    // engine. The ordinary-form coefficient values are exact, so the
-    // derived steps match an oracle-built table bit for bit.
-    const FpCtx& F = *fp_;
-    const std::size_t n = F.limbs();
-    pre.flat_limbs_ = n;
-    const FpElem px = F.to_mont(P.x);
-    const FpElem py = F.to_mont(P.y);
-    FJac V{px, py, F.one()};
-    const auto record = [&](const FLine& line, bool add) {
-      for (const FpElem* c : {&line.c0, &line.c1, &line.c2}) {
-        pre.flat_coeffs_.insert(pre.flat_coeffs_.end(), c->v.begin(),
-                                c->v.begin() + static_cast<std::ptrdiff_t>(n));
-      }
-      pre.steps_.push_back(PairingPrecomp::Step{
-          M.to_mont(F.from_mont(line.c0)), M.to_mont(F.from_mont(line.c1)),
-          M.to_mont(F.from_mont(line.c2)), add});
-    };
-    for (std::size_t i = r.bit_length() - 1; i-- > 0;) {
-      record(fdbl_step(F, V), false);
-      if (r.bit(i)) record(fadd_step(F, V, px, py), true);
+  // The same doubling/addition steps the live loop in miller_product runs,
+  // recorded as line coefficients instead of evaluated.
+  const FpCtx& F = *fp_;
+  const std::size_t n = F.limbs();
+  pre.coeffs_.reserve(3 * n * miller_steps_);
+  const FpElem px = F.to_mont(P.x);
+  const FpElem py = F.to_mont(P.y);
+  Jac V{px, py, F.one()};
+  const auto record = [&](const Line& line) {
+    for (const FpElem* c : {&line.c0, &line.c1, &line.c2}) {
+      pre.coeffs_.insert(pre.coeffs_.end(), c->v.begin(),
+                         c->v.begin() + static_cast<std::ptrdiff_t>(n));
     }
-    return pre;
-  }
-  const Bigint& p = params_.p;
-  const Bigint px = M.to_mont(P.x);
-  const Bigint py = M.to_mont(P.y);
-  Jac V{px, py, M.mont_one()};
-  const auto record = [&pre](const Line& line, bool add) {
-    pre.steps_.push_back(PairingPrecomp::Step{line.c0, line.c1, line.c2, add});
   };
+  const Bigint& r = params_.r;
   for (std::size_t i = r.bit_length() - 1; i-- > 0;) {
-    record(dbl_step(M, p, V), false);
-    if (r.bit(i)) record(add_step(M, p, V, px, py), true);
+    record(dbl_step(F, V));
+    if (r.bit(i)) record(add_step(F, V, px, py));
   }
   return pre;
 }
 
 Fp2 PairingEngine::pair(const EcPoint& P, const EcPoint& Q) const {
-  PairingCounters& ctr = counters();
-  ctr.calls.add();
   static obs::Histogram& obs_lat = obs::histogram("crypto.pairing");
   obs::ScopedTimer obs_timer(obs_lat);
-  const Bigint& p = params_.p;
-  if (!ec_on_curve(P, p) || !ec_on_curve(Q, p)) {
-    throw std::invalid_argument("pairing: point not on curve");
-  }
-  if (P.infinity || Q.infinity) return fp2_one();
-  ctr.miller.add();
-  ctr.finalexp.add();
-
-  if (fp_) {
-    flat_miller_counter().add();
-    const FpCtx& F = *fp_;
-    const FpElem px = F.to_mont(P.x);
-    const FpElem py = F.to_mont(P.y);
-    const FpElem xq = F.to_mont(Q.x);
-    const FpElem yq = F.to_mont(Q.y);
-    Fp2Elem f{F.one(), F.zero()};
-    FJac V{px, py, F.one()};
-    const Bigint& r = params_.r;
-    for (std::size_t i = r.bit_length() - 1; i-- > 0;) {
-      fp2_sqr(F, f, f);
-      Fp2Elem v = feval_line(F, fdbl_step(F, V), xq, yq);
-      fp2_mul(F, f, f, v);
-      if (r.bit(i)) {
-        v = feval_line(F, fadd_step(F, V, px, py), xq, yq);
-        fp2_mul(F, f, f, v);
-      }
-    }
-    const Fp2Elem e = f_final_exp(F, params_.h, f);
-    return Fp2{F.from_mont(e.a), F.from_mont(e.b)};
-  }
-
-  const MontgomeryCtx& M = *mont_;
-  const Bigint px = M.to_mont(P.x);
-  const Bigint py = M.to_mont(P.y);
-  const Bigint xq = M.to_mont(Q.x);
-  const Bigint yq = M.to_mont(Q.y);
-  F2 f = f2_one(M);
-  Jac V{px, py, M.mont_one()};
-  const Bigint& r = params_.r;
-  for (std::size_t i = r.bit_length() - 1; i-- > 0;) {
-    f = f2_mul(M, p, f2_sq(M, p, f),
-               eval_line(M, p, dbl_step(M, p, V), xq, yq));
-    if (r.bit(i)) {
-      f = f2_mul(M, p, f, eval_line(M, p, add_step(M, p, V, px, py), xq, yq));
-    }
-  }
-  const F2 e = final_exp(M, p, params_.h, f);
-  return Fp2{M.from_mont(e.a), M.from_mont(e.b)};
+  return miller_product({PairingTerm{nullptr, P, Q, Bigint(1), false}});
 }
 
 Fp2 PairingEngine::pair(const PairingPrecomp& pre, const EcPoint& Q) const {
-  PairingCounters& ctr = counters();
-  ctr.calls.add();
   static obs::Histogram& obs_lat = obs::histogram("crypto.pairing");
   obs::ScopedTimer obs_timer(obs_lat);
-  if (pre.empty()) {
-    throw std::invalid_argument("pairing: precomp table not built");
-  }
-  const Bigint& p = params_.p;
-  if (!ec_on_curve(Q, p)) {
-    throw std::invalid_argument("pairing: point not on curve");
-  }
-  if (pre.point().infinity || Q.infinity) return fp2_one();
-  ctr.miller.add();
-  ctr.finalexp.add();
-  ctr.precomp_hits.add();
-
-  if (fp_ && !pre.flat_coeffs_.empty() && pre.flat_limbs_ == fp_->limbs()) {
-    flat_miller_counter().add();
-    const FpCtx& F = *fp_;
-    const std::size_t n = F.limbs();
-    const FpElem xq = F.to_mont(Q.x);
-    const FpElem yq = F.to_mont(Q.y);
-    Fp2Elem f{F.one(), F.zero()};
-    const std::uint64_t* c = pre.flat_coeffs_.data();
-    for (const PairingPrecomp::Step& s : pre.steps_) {
-      if (!s.add) fp2_sqr(F, f, f);
-      const FLine line{fload(c, n), fload(c + n, n), fload(c + 2 * n, n)};
-      c += 3 * n;
-      const Fp2Elem v = feval_line(F, line, xq, yq);
-      fp2_mul(F, f, f, v);
-    }
-    const Fp2Elem e = f_final_exp(F, params_.h, f);
-    return Fp2{F.from_mont(e.a), F.from_mont(e.b)};
-  }
-  // Oracle replay — also the flat engine's fallback for a table that was
-  // compiled by an oracle-mode engine (flat_coeffs_ empty).
-  const MontgomeryCtx& M = *mont_;
-  const Bigint xq = M.to_mont(Q.x);
-  const Bigint yq = M.to_mont(Q.y);
-  F2 f = f2_one(M);
-  for (const PairingPrecomp::Step& s : pre.steps_) {
-    if (!s.add) f = f2_sq(M, p, f);
-    f = f2_mul(M, p, f, eval_line(M, p, Line{s.c0, s.c1, s.c2}, xq, yq));
-  }
-  const F2 e = final_exp(M, p, params_.h, f);
-  return Fp2{M.from_mont(e.a), M.from_mont(e.b)};
+  return miller_product(
+      {PairingTerm{&pre, EcPoint::at_infinity(), Q, Bigint(1), false}});
 }
 
 Fp2 PairingEngine::pair_product(const std::vector<PairingTerm>& terms) const {
-  PairingCounters& ctr = counters();
   static obs::Histogram& obs_lat = obs::histogram("crypto.pairing.product");
   obs::ScopedTimer obs_timer(obs_lat);
+  return miller_product(terms);
+}
+
+Fp2 PairingEngine::miller_product(
+    const std::vector<PairingTerm>& terms) const {
+  PairingCounters& ctr = counters();
   const Bigint& p = params_.p;
-  const MontgomeryCtx& M = *mont_;
+  const FpCtx& F = *fp_;
+  const std::size_t n = F.limbs();
+  // In-flight state of one non-trivial factor: its line source (table
+  // cursor or live Jacobian loop), the Montgomery form of φ(Q)'s
+  // coordinates, and which accumulator it feeds.
+  struct Active {
+    const PairingPrecomp* pre = nullptr;
+    std::size_t cursor = 0;  // lines replayed; coefficients at cursor·3n
+    Jac V{};
+    FpElem px, py, xq, yq;
+    bool conj = false;
+    std::size_t group = 0;
+  };
+  // Accumulator 0 collects unit-exponent factors; each distinct non-unit
+  // exponent e gets its own accumulator, raised to e after the loop.
+  // Factors sharing an exponent (the batch-verify shape, where one δ_j
+  // covers a whole verification equation) share squarings too.
+  std::vector<Active> active;
+  std::vector<Fp2Elem> accs{Fp2Elem{F.one(), F.zero()}};
+  std::vector<Bigint> group_exps;  // exponent of accs[g] for g >= 1
+  std::map<Bytes, std::size_t> exp_groups;
 
-  // The flat interleaved loop needs every replayed table to carry flat
-  // coefficients of this context's width; a table compiled by an
-  // oracle-mode engine sends the whole product down the Bigint path.
-  bool use_flat = fp_ != nullptr;
-  if (use_flat) {
-    for (const PairingTerm& term : terms) {
-      if (term.pre != nullptr && !term.pre->empty() &&
-          !term.pre->point().infinity &&
-          (term.pre->flat_coeffs_.empty() ||
-           term.pre->flat_limbs_ != fp_->limbs())) {
-        use_flat = false;
-        break;
-      }
+  for (const PairingTerm& term : terms) {
+    ctr.calls.add();
+    if (term.pre != nullptr && term.pre->empty()) {
+      throw std::invalid_argument("pairing: precomp table not built");
     }
+    const EcPoint& P = term.pre != nullptr ? term.pre->point() : term.P;
+    if (term.pre == nullptr && !ec_on_curve(P, p)) {
+      throw std::invalid_argument("pairing: point not on curve");
+    }
+    if (!ec_on_curve(term.Q, p)) {
+      throw std::invalid_argument("pairing: point not on curve");
+    }
+    if (term.pre != nullptr && !P.infinity &&
+        term.pre->coeffs_.size() != 3 * n * miller_steps_) {
+      throw std::invalid_argument(
+          "pairing: precomp table built for other parameters");
+    }
+    const Bigint e = term.exp.mod(params_.r);
+    if (e.is_zero() || P.infinity || term.Q.infinity) continue;  // factor 1
+
+    Active a;
+    a.pre = term.pre;
+    a.conj = term.invert;
+    a.xq = F.to_mont(term.Q.x);
+    a.yq = F.to_mont(term.Q.y);
+    if (term.pre == nullptr) {
+      a.px = F.to_mont(P.x);
+      a.py = F.to_mont(P.y);
+      a.V = Jac{a.px, a.py, F.one()};
+    } else {
+      ctr.precomp_hits.add();
+    }
+    if (e.is_one()) {
+      a.group = 0;
+    } else {
+      const auto [it, fresh] =
+          exp_groups.try_emplace(e.to_bytes_be(), accs.size());
+      if (fresh) {
+        accs.push_back(Fp2Elem{F.one(), F.zero()});
+        group_exps.push_back(e);
+      }
+      a.group = it->second;
+    }
+    ctr.miller.add();
+    active.push_back(a);
   }
-  if (use_flat) {
-    const FpCtx& F = *fp_;
-    const std::size_t n = F.limbs();
-    struct FActive {
-      const PairingPrecomp* pre = nullptr;
-      std::size_t cursor = 0;  // steps replayed; flat coeffs at cursor·3n
-      FJac V{};
-      FpElem px, py, xq, yq;
-      bool conj = false;
-      std::size_t group = 0;
-    };
-    std::vector<FActive> active;
-    std::vector<Fp2Elem> accs{Fp2Elem{F.one(), F.zero()}};
-    std::vector<Bigint> group_exps;
-    std::map<Bytes, std::size_t> exp_groups;
 
-    for (const PairingTerm& term : terms) {
-      ctr.calls.add();
-      if (term.pre != nullptr && term.pre->empty()) {
-        throw std::invalid_argument("pair_product: precomp table not built");
-      }
-      const EcPoint& P = term.pre != nullptr ? term.pre->point() : term.P;
-      if (term.pre == nullptr && !ec_on_curve(P, p)) {
-        throw std::invalid_argument("pair_product: point not on curve");
-      }
-      if (!ec_on_curve(term.Q, p)) {
-        throw std::invalid_argument("pair_product: point not on curve");
-      }
-      const Bigint e = term.exp.mod(params_.r);
-      if (e.is_zero() || P.infinity || term.Q.infinity) continue;  // factor 1
+  if (active.empty()) return fp2_one();
 
-      FActive a;
-      a.pre = term.pre;
-      a.conj = term.invert;
-      a.xq = F.to_mont(term.Q.x);
-      a.yq = F.to_mont(term.Q.y);
-      if (term.pre == nullptr) {
-        a.px = F.to_mont(P.x);
-        a.py = F.to_mont(P.y);
-        a.V = FJac{a.px, a.py, F.one()};
-      } else {
-        ctr.precomp_hits.add();
-      }
-      if (e.is_one()) {
-        a.group = 0;
-      } else {
-        const auto [it, fresh] =
-            exp_groups.try_emplace(e.to_bytes_be(), accs.size());
-        if (fresh) {
-          accs.push_back(Fp2Elem{F.one(), F.zero()});
-          group_exps.push_back(e);
-        }
-        a.group = it->second;
-      }
-      ctr.miller.add();
-      active.push_back(a);
+  // The whole loop runs through one Fp2Batch so every independent
+  // Montgomery product in a phase fills SIMD lanes: the |accs| shared
+  // squarings and the 2·|active| line evaluations of a bit go out as one
+  // batch, and the per-group absorb products fold as balanced trees
+  // batched across groups level by level. Products of reduced operands
+  // are canonical, so reassociating the per-group factor chains changes
+  // nothing bit-wise (see Fp2Batch).
+  Fp2Batch batch(F);
+  batch.reserve(active.size() + accs.size(), accs.size(),
+                2 * active.size());
+  std::vector<Line> lines(active.size());
+  std::vector<FpElem> tline(active.size());
+  std::vector<Fp2Elem> vline(active.size());
+  std::vector<Fp2Elem> foldbuf;
+  foldbuf.reserve(active.size() + accs.size());
+  std::vector<std::vector<const Fp2Elem*>> gitems(accs.size());
+
+  const auto next_recorded = [&](Active& a) {
+    const std::uint64_t* c = a.pre->coeffs_.data() + a.cursor * 3 * n;
+    ++a.cursor;
+    return Line{load(c, n), load(c + n, n), load(c + 2 * n, n)};
+  };
+  // Evaluate every active's current line at φ(Q) in one flush (plus any
+  // fp2 ops already queued by the caller), leaving v_i in vline[i].
+  const auto eval_lines = [&]() {
+    for (std::size_t i = 0; i < active.size(); ++i) {
+      batch.fmul(tline[i], lines[i].c1, active[i].xq);
+      batch.fmul(vline[i].b, lines[i].c2, active[i].yq);
     }
-
-    if (active.empty()) return fp2_one();
-    flat_miller_counter().add(active.size());
-
-    // The whole loop runs through one Fp2Batch so every independent
-    // Montgomery product in a phase fills SIMD lanes: the |accs| shared
-    // squarings and the 2·|active| line evaluations of a bit go out as one
-    // batch, and the per-group absorb products fold as balanced trees
-    // batched across groups level by level. Products of reduced operands
-    // are canonical, so reassociating the per-group factor chains changes
-    // nothing bit-wise (see Fp2Batch).
-    Fp2Batch batch(F);
-    batch.reserve(active.size() + accs.size(), accs.size(),
-                  2 * active.size());
-    std::vector<FLine> lines(active.size());
-    std::vector<FpElem> tline(active.size());
-    std::vector<Fp2Elem> vline(active.size());
-    std::vector<Fp2Elem> foldbuf;
-    foldbuf.reserve(active.size() + accs.size());
-    std::vector<std::vector<const Fp2Elem*>> gitems(accs.size());
-
-    const auto next_recorded = [&](FActive& a) {
-      const std::uint64_t* c = a.pre->flat_coeffs_.data() + a.cursor * 3 * n;
-      ++a.cursor;
-      return FLine{fload(c, n), fload(c + n, n), fload(c + 2 * n, n)};
-    };
-    // Evaluate every active's current line at φ(Q) in one flush (plus any
-    // fp2 ops already queued by the caller), leaving v_i in vline[i].
-    const auto eval_lines = [&]() {
-      for (std::size_t i = 0; i < active.size(); ++i) {
-        batch.fmul(tline[i], lines[i].c1, active[i].xq);
-        batch.fmul(vline[i].b, lines[i].c2, active[i].yq);
-      }
-      batch.flush();
-      for (std::size_t i = 0; i < active.size(); ++i) {
-        F.add(vline[i].a, lines[i].c0, tline[i]);
-        if (active[i].conj) F.neg(vline[i].b, vline[i].b);
-      }
-    };
-    // accs[g] *= Π v_i over the group's actives, as per-group balanced
-    // trees with each tree level batched across all groups.
-    const auto fold_groups = [&]() {
-      foldbuf.clear();
-      for (std::size_t g = 0; g < gitems.size(); ++g) {
-        gitems[g].clear();
-        gitems[g].push_back(&accs[g]);
-      }
-      for (std::size_t i = 0; i < active.size(); ++i) {
-        gitems[active[i].group].push_back(&vline[i]);
-      }
-      bool more = true;
-      while (more) {
-        more = false;
-        for (auto& items : gitems) {
-          if (items.size() < 2) continue;
-          std::size_t out = 0;
-          std::size_t i = 0;
-          for (; i + 1 < items.size(); i += 2) {
-            Fp2Elem& dst = foldbuf.emplace_back();
-            batch.mul(dst, *items[i], *items[i + 1]);
-            items[out++] = &dst;
-          }
-          if (i < items.size()) items[out++] = items[i];
-          items.resize(out);
-          if (out > 1) more = true;
-        }
-        batch.flush();
-      }
-      for (std::size_t g = 0; g < gitems.size(); ++g) {
-        if (gitems[g][0] != &accs[g]) accs[g] = *gitems[g][0];
-      }
-    };
-
-    const Bigint& r = params_.r;
-    for (std::size_t i = r.bit_length() - 1; i-- > 0;) {
-      for (Fp2Elem& acc : accs) batch.sqr(acc, acc);
-      for (std::size_t j = 0; j < active.size(); ++j) {
-        FActive& a = active[j];
-        lines[j] = a.pre != nullptr ? next_recorded(a) : fdbl_step(F, a.V);
-      }
-      eval_lines();  // flushes the squarings alongside the line products
-      fold_groups();
-      if (r.bit(i)) {
-        for (std::size_t j = 0; j < active.size(); ++j) {
-          FActive& a = active[j];
-          lines[j] = a.pre != nullptr ? next_recorded(a)
-                                      : fadd_step(F, a.V, a.px, a.py);
-        }
-        eval_lines();
-        fold_groups();
-      }
+    batch.flush();
+    for (std::size_t i = 0; i < active.size(); ++i) {
+      F.add(vline[i].a, lines[i].c0, tline[i]);
+      if (active[i].conj) F.neg(vline[i].b, vline[i].b);
     }
-
-    // Group-exponent ladders, lockstep across groups: starting every
-    // ladder at one and walking down from the longest exponent is exactly
-    // fp2_pow's schedule (leading squarings of one are exact), so each
-    // pw[g] is bit-identical to a sequential fp2_pow.
-    Fp2Elem total = accs[0];
-    if (!group_exps.empty()) {
-      std::size_t maxb = 0;
-      for (const Bigint& e : group_exps) {
-        maxb = std::max(maxb, e.bit_length());
-      }
-      std::vector<Fp2Elem> pw(group_exps.size(), Fp2Elem{F.one(), F.zero()});
-      for (std::size_t i = maxb; i-- > 0;) {
-        for (Fp2Elem& w : pw) batch.sqr(w, w);
-        batch.flush();
-        for (std::size_t g = 0; g < pw.size(); ++g) {
-          if (group_exps[g].bit(i)) batch.mul(pw[g], pw[g], accs[g + 1]);
-        }
-        batch.flush();
-      }
-      // total = accs[0]·Π pw[g], one balanced batched tree.
-      std::vector<const Fp2Elem*> items;
-      items.reserve(pw.size() + 1);
-      items.push_back(&total);
-      for (const Fp2Elem& w : pw) items.push_back(&w);
-      foldbuf.clear();
-      while (items.size() > 1) {
+  };
+  // accs[g] *= Π v_i over the group's actives, as per-group balanced
+  // trees with each tree level batched across all groups.
+  const auto fold_groups = [&]() {
+    foldbuf.clear();
+    for (std::size_t g = 0; g < gitems.size(); ++g) {
+      gitems[g].clear();
+      gitems[g].push_back(&accs[g]);
+    }
+    for (std::size_t i = 0; i < active.size(); ++i) {
+      gitems[active[i].group].push_back(&vline[i]);
+    }
+    bool more = true;
+    while (more) {
+      more = false;
+      for (auto& items : gitems) {
+        if (items.size() < 2) continue;
         std::size_t out = 0;
         std::size_t i = 0;
         for (; i + 1 < items.size(); i += 2) {
@@ -823,132 +494,88 @@ Fp2 PairingEngine::pair_product(const std::vector<PairingTerm>& terms) const {
         }
         if (i < items.size()) items[out++] = items[i];
         items.resize(out);
-        batch.flush();
+        if (out > 1) more = true;
       }
-      if (items[0] != &total) total = *items[0];
+      batch.flush();
     }
-    ctr.finalexp.add();
-    const Fp2Elem e = f_final_exp(F, params_.h, total);
-    return Fp2{F.from_mont(e.a), F.from_mont(e.b)};
-  }
-
-  // In-flight state of one non-trivial factor: its line source (table
-  // cursor or live Jacobian loop), the Montgomery form of φ(Q)'s
-  // coordinates, and which accumulator it feeds.
-  struct Active {
-    const PairingPrecomp* pre = nullptr;
-    std::size_t cursor = 0;
-    Jac V{Bigint(0), Bigint(0), Bigint(0)};
-    Bigint px, py;
-    Bigint xq, yq;
-    bool conj = false;
-    std::size_t group = 0;
+    for (std::size_t g = 0; g < gitems.size(); ++g) {
+      if (gitems[g][0] != &accs[g]) accs[g] = *gitems[g][0];
+    }
   };
-  // Accumulator 0 collects unit-exponent factors; each distinct non-unit
-  // exponent e gets its own accumulator, raised to e after the loop.
-  // Factors sharing an exponent (the batch-verify shape, where one δ_j
-  // covers a whole verification equation) share squarings too.
-  std::vector<Active> active;
-  std::vector<F2> accs{f2_one(M)};
-  std::vector<Bigint> group_exps;  // exponent of accs[g] for g >= 1
-  std::map<Bytes, std::size_t> exp_groups;
 
-  for (const PairingTerm& term : terms) {
-    ctr.calls.add();
-    if (term.pre != nullptr && term.pre->empty()) {
-      throw std::invalid_argument("pair_product: precomp table not built");
-    }
-    const EcPoint& P = term.pre != nullptr ? term.pre->point() : term.P;
-    if (term.pre == nullptr && !ec_on_curve(P, p)) {
-      throw std::invalid_argument("pair_product: point not on curve");
-    }
-    if (!ec_on_curve(term.Q, p)) {
-      throw std::invalid_argument("pair_product: point not on curve");
-    }
-    const Bigint e = term.exp.mod(params_.r);
-    if (e.is_zero() || P.infinity || term.Q.infinity) continue;  // factor 1
-
-    Active a;
-    a.pre = term.pre;
-    a.conj = term.invert;
-    a.xq = M.to_mont(term.Q.x);
-    a.yq = M.to_mont(term.Q.y);
-    if (term.pre == nullptr) {
-      a.px = M.to_mont(P.x);
-      a.py = M.to_mont(P.y);
-      a.V = Jac{a.px, a.py, M.mont_one()};
-    } else {
-      ctr.precomp_hits.add();
-    }
-    if (e.is_one()) {
-      a.group = 0;
-    } else {
-      const auto [it, fresh] = exp_groups.try_emplace(e.to_bytes_be(),
-                                                      accs.size());
-      if (fresh) {
-        accs.push_back(f2_one(M));
-        group_exps.push_back(e);
-      }
-      a.group = it->second;
-    }
-    ctr.miller.add();
-    active.push_back(std::move(a));
-  }
-
-  if (active.empty()) return fp2_one();
-
-  // Interleaved Miller loops: one pass over the bits of r drives every
-  // factor; accumulators square once per bit regardless of how many
-  // factors feed them. An inverted factor conjugates its line values —
-  // conjugation is a field automorphism, so the accumulated value is the
-  // conjugate of that factor's Miller value, and FE(conj(f)) = FE(f)^{-1}.
-  const auto absorb = [&](Active& a, const Line& line) {
-    F2 v = eval_line(M, p, line, a.xq, a.yq);
-    if (a.conj) v.b = fp_neg(v.b, p);
-    accs[a.group] = f2_mul(M, p, accs[a.group], v);
-  };
-  const auto next_recorded = [](Active& a) {
-    const PairingPrecomp::Step& s = a.pre->steps_[a.cursor++];
-    return Line{s.c0, s.c1, s.c2};
-  };
   const Bigint& r = params_.r;
   for (std::size_t i = r.bit_length() - 1; i-- > 0;) {
-    for (F2& acc : accs) acc = f2_sq(M, p, acc);
-    for (Active& a : active) {
-      absorb(a, a.pre != nullptr ? next_recorded(a) : dbl_step(M, p, a.V));
+    for (Fp2Elem& acc : accs) batch.sqr(acc, acc);
+    for (std::size_t j = 0; j < active.size(); ++j) {
+      Active& a = active[j];
+      lines[j] = a.pre != nullptr ? next_recorded(a) : dbl_step(F, a.V);
     }
+    eval_lines();  // flushes the squarings alongside the line products
+    fold_groups();
     if (r.bit(i)) {
-      for (Active& a : active) {
-        absorb(a, a.pre != nullptr ? next_recorded(a)
-                                   : add_step(M, p, a.V, a.px, a.py));
+      for (std::size_t j = 0; j < active.size(); ++j) {
+        Active& a = active[j];
+        lines[j] = a.pre != nullptr ? next_recorded(a)
+                                    : add_step(F, a.V, a.px, a.py);
       }
+      eval_lines();
+      fold_groups();
     }
   }
 
-  F2 total = accs[0];
-  for (std::size_t g = 1; g < accs.size(); ++g) {
-    total = f2_mul(M, p, total, f2_pow(M, p, accs[g], group_exps[g - 1]));
+  // Group-exponent ladders, lockstep across groups: starting every
+  // ladder at one and walking down from the longest exponent is exactly
+  // fp2_pow's schedule (leading squarings of one are exact), so each
+  // pw[g] is bit-identical to a sequential fp2_pow.
+  Fp2Elem total = accs[0];
+  if (!group_exps.empty()) {
+    std::size_t maxb = 0;
+    for (const Bigint& e : group_exps) {
+      maxb = std::max(maxb, e.bit_length());
+    }
+    std::vector<Fp2Elem> pw(group_exps.size(), Fp2Elem{F.one(), F.zero()});
+    for (std::size_t i = maxb; i-- > 0;) {
+      for (Fp2Elem& w : pw) batch.sqr(w, w);
+      batch.flush();
+      for (std::size_t g = 0; g < pw.size(); ++g) {
+        if (group_exps[g].bit(i)) batch.mul(pw[g], pw[g], accs[g + 1]);
+      }
+      batch.flush();
+    }
+    // total = accs[0]·Π pw[g], one balanced batched tree.
+    std::vector<const Fp2Elem*> items;
+    items.reserve(pw.size() + 1);
+    items.push_back(&total);
+    for (const Fp2Elem& w : pw) items.push_back(&w);
+    foldbuf.clear();
+    while (items.size() > 1) {
+      std::size_t out = 0;
+      std::size_t i = 0;
+      for (; i + 1 < items.size(); i += 2) {
+        Fp2Elem& dst = foldbuf.emplace_back();
+        batch.mul(dst, *items[i], *items[i + 1]);
+        items[out++] = &dst;
+      }
+      if (i < items.size()) items[out++] = items[i];
+      items.resize(out);
+      batch.flush();
+    }
+    if (items[0] != &total) total = *items[0];
   }
   ctr.finalexp.add();
-  const F2 e = final_exp(M, p, params_.h, total);
-  return Fp2{M.from_mont(e.a), M.from_mont(e.b)};
+  const Fp2Elem e = final_exp(F, params_.h, total);
+  return Fp2{F.from_mont(e.a), F.from_mont(e.b)};
 }
 
 Fp2 PairingEngine::gt_pow(const Fp2& x, const Bigint& e) const {
   if (e.is_negative()) {
     throw std::invalid_argument("PairingEngine::gt_pow: negative exponent");
   }
-  if (fp_) {
-    const FpCtx& F = *fp_;
-    const Fp2Elem xm{F.to_mont(x.a), F.to_mont(x.b)};
-    Fp2Elem v;
-    fp2_pow(F, v, xm, e);
-    return Fp2{F.from_mont(v.a), F.from_mont(v.b)};
-  }
-  const MontgomeryCtx& M = *mont_;
-  const F2 xm{M.to_mont(x.a), M.to_mont(x.b)};
-  const F2 v = f2_pow(M, params_.p, xm, e);
-  return Fp2{M.from_mont(v.a), M.from_mont(v.b)};
+  const FpCtx& F = *fp_;
+  const Fp2Elem xm{F.to_mont(x.a), F.to_mont(x.b)};
+  Fp2Elem v;
+  fp2_pow(F, v, xm, e);
+  return Fp2{F.from_mont(v.a), F.from_mont(v.b)};
 }
 
 Fp2 PairingEngine::gt_pow2(const Fp2& x1, const Bigint& e1, const Fp2& x2,
@@ -956,48 +583,26 @@ Fp2 PairingEngine::gt_pow2(const Fp2& x1, const Bigint& e1, const Fp2& x2,
   if (e1.is_negative() || e2.is_negative()) {
     throw std::invalid_argument("PairingEngine::gt_pow2: negative exponent");
   }
-  if (fp_) {
-    const FpCtx& F = *fp_;
-    const Fp2Elem a{F.to_mont(x1.a), F.to_mont(x1.b)};
-    const Fp2Elem b{F.to_mont(x2.a), F.to_mont(x2.b)};
-    Fp2Elem ab;
-    fp2_mul(F, ab, a, b);
-    Fp2Elem acc{F.one(), F.zero()};
-    const std::size_t bits = std::max(e1.bit_length(), e2.bit_length());
-    for (std::size_t i = bits; i-- > 0;) {
-      fp2_sqr(F, acc, acc);
-      const bool ba = e1.bit(i);
-      const bool bb = e2.bit(i);
-      if (ba && bb) {
-        fp2_mul(F, acc, acc, ab);
-      } else if (ba) {
-        fp2_mul(F, acc, acc, a);
-      } else if (bb) {
-        fp2_mul(F, acc, acc, b);
-      }
-    }
-    return Fp2{F.from_mont(acc.a), F.from_mont(acc.b)};
-  }
-  const MontgomeryCtx& M = *mont_;
-  const Bigint& p = params_.p;
-  const F2 a{M.to_mont(x1.a), M.to_mont(x1.b)};
-  const F2 b{M.to_mont(x2.a), M.to_mont(x2.b)};
-  const F2 ab = f2_mul(M, p, a, b);
-  F2 acc = f2_one(M);
+  const FpCtx& F = *fp_;
+  const Fp2Elem a{F.to_mont(x1.a), F.to_mont(x1.b)};
+  const Fp2Elem b{F.to_mont(x2.a), F.to_mont(x2.b)};
+  Fp2Elem ab;
+  fp2_mul(F, ab, a, b);
+  Fp2Elem acc{F.one(), F.zero()};
   const std::size_t bits = std::max(e1.bit_length(), e2.bit_length());
   for (std::size_t i = bits; i-- > 0;) {
-    acc = f2_sq(M, p, acc);
+    fp2_sqr(F, acc, acc);
     const bool ba = e1.bit(i);
     const bool bb = e2.bit(i);
     if (ba && bb) {
-      acc = f2_mul(M, p, acc, ab);
+      fp2_mul(F, acc, acc, ab);
     } else if (ba) {
-      acc = f2_mul(M, p, acc, a);
+      fp2_mul(F, acc, acc, a);
     } else if (bb) {
-      acc = f2_mul(M, p, acc, b);
+      fp2_mul(F, acc, acc, b);
     }
   }
-  return Fp2{M.from_mont(acc.a), M.from_mont(acc.b)};
+  return Fp2{F.from_mont(acc.a), F.from_mont(acc.b)};
 }
 
 }  // namespace ppms

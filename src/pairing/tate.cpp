@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "obs/metrics.h"
-
 namespace ppms {
 
 namespace {
@@ -31,92 +29,7 @@ Fp2 line_at_phi_q(const EcPoint& A, const EcPoint& B, const Bigint& xq,
   return Fp2{real, yq};
 }
 
-// Jacobian point (X : Y : Z) with affine x = X/Z², y = Y/Z³; Z = 0 is the
-// point at infinity. Only the Miller loop uses this representation, so it
-// stays local to this translation unit.
-struct JacPoint {
-  Bigint X, Y, Z;
-  bool at_infinity() const { return Z.is_zero(); }
-};
-
-// Double V in place and return the tangent line at (the old) V evaluated
-// at φ(Q), scaled by Z₃·Z² ∈ F_p* — a factor the final exponentiation's
-// (p-1) part annihilates, which is what buys the inversion-free step.
-// Curve is y² = x³ + x (a = 1, b = 0).
-Fp2 dbl_step(JacPoint& V, const Bigint& xq, const Bigint& yq,
-             const Bigint& p) {
-  if (V.at_infinity()) return fp2_one();
-  if (V.Y.is_zero()) {  // order-2 point: vertical tangent
-    V = JacPoint{Bigint(1), Bigint(1), Bigint(0)};
-    return fp2_one();
-  }
-  const Bigint T = fp_mul(V.Z, V.Z, p);                  // Z²
-  const Bigint A = fp_mul(V.X, V.X, p);                  // X²
-  const Bigint B = fp_mul(V.Y, V.Y, p);                  // Y²
-  const Bigint C = fp_mul(B, B, p);                      // Y⁴
-  // D = 2((X+B)² - A - C) = 4XY²
-  const Bigint xb = fp_add(V.X, B, p);
-  Bigint D = fp_sub(fp_sub(fp_mul(xb, xb, p), A, p), C, p);
-  D = fp_add(D, D, p);
-  // E = 3X² + Z⁴ (the a = 1 term contributes Z⁴)
-  const Bigint E =
-      fp_add(fp_add(fp_add(A, A, p), A, p), fp_mul(T, T, p), p);
-  const Bigint X3 = fp_sub(fp_mul(E, E, p), fp_add(D, D, p), p);
-  Bigint c8 = fp_add(C, C, p);
-  c8 = fp_add(c8, c8, p);
-  c8 = fp_add(c8, c8, p);
-  const Bigint Y3 = fp_sub(fp_mul(E, fp_sub(D, X3, p), p), c8, p);
-  const Bigint yz = fp_mul(V.Y, V.Z, p);
-  const Bigint Z3 = fp_add(yz, yz, p);
-  // λ = E/Z₃, evaluated at the old V = (X/T, Y/Z³). Scaling the line by
-  // Z₃·T clears every denominator:
-  //   real = E·(X + xq·T) - 2Y²,  imag = yq·Z₃·T.
-  const Bigint real =
-      fp_sub(fp_mul(E, fp_add(V.X, fp_mul(xq, T, p), p), p),
-             fp_add(B, B, p), p);
-  const Bigint imag = fp_mul(yq, fp_mul(Z3, T, p), p);
-  V = JacPoint{X3, Y3, Z3};
-  return Fp2{real, imag};
-}
-
-// Mixed addition V += P (P affine, never infinity) returning the line
-// through V and P at φ(Q), scaled by Z₃ ∈ F_p*.
-Fp2 add_step(JacPoint& V, const EcPoint& P, const Bigint& xq,
-             const Bigint& yq, const Bigint& p) {
-  if (V.at_infinity()) {
-    V = JacPoint{P.x, P.y, Bigint(1)};
-    return fp2_one();
-  }
-  const Bigint T = fp_mul(V.Z, V.Z, p);          // Z²
-  const Bigint U2 = fp_mul(P.x, T, p);           // xp·Z²
-  const Bigint S2 = fp_mul(P.y, fp_mul(T, V.Z, p), p);  // yp·Z³
-  const Bigint H = fp_sub(U2, V.X, p);
-  const Bigint R = fp_sub(S2, V.Y, p);
-  if (H.is_zero()) {
-    if (R.is_zero()) return dbl_step(V, xq, yq, p);  // V == P: tangent
-    // V == -P: vertical line, sum is the point at infinity.
-    V = JacPoint{Bigint(1), Bigint(1), Bigint(0)};
-    return fp2_one();
-  }
-  const Bigint H2 = fp_mul(H, H, p);
-  const Bigint H3 = fp_mul(H, H2, p);
-  const Bigint XH2 = fp_mul(V.X, H2, p);
-  const Bigint X3 =
-      fp_sub(fp_sub(fp_mul(R, R, p), H3, p), fp_add(XH2, XH2, p), p);
-  const Bigint Y3 =
-      fp_sub(fp_mul(R, fp_sub(XH2, X3, p), p), fp_mul(V.Y, H3, p), p);
-  const Bigint Z3 = fp_mul(V.Z, H, p);
-  // λ = R/Z₃ anchored at the affine P; scaling by Z₃ gives
-  //   real = R·(xq + xp) - yp·Z₃,  imag = yq·Z₃.
-  const Bigint real =
-      fp_sub(fp_mul(R, fp_add(xq, P.x, p), p), fp_mul(P.y, Z3, p), p);
-  const Bigint imag = fp_mul(yq, Z3, p);
-  V = JacPoint{X3, Y3, Z3};
-  return Fp2{real, imag};
-}
-
 // f^{(p²-1)/r} = (conj(f)·f^{-1})^h — Frobenius is conjugation in F_p[i].
-// This is the pairing's only field inversion.
 Fp2 final_exponentiation(const TypeAParams& params, const Fp2& f) {
   const Bigint& p = params.p;
   const Fp2 fp_minus_1 = fp2_mul(fp2_conj(f, p), fp2_inv(f, p), p);
@@ -124,39 +37,6 @@ Fp2 final_exponentiation(const TypeAParams& params, const Fp2& f) {
 }
 
 }  // namespace
-
-Fp2 tate_pairing(const TypeAParams& params, const EcPoint& P,
-                 const EcPoint& Q) {
-  static obs::Counter& obs_calls = obs::counter("crypto.pairing.calls");
-  obs_calls.add();
-  static obs::Histogram& obs_lat = obs::histogram("crypto.pairing");
-  obs::ScopedTimer obs_timer(obs_lat);
-  const Bigint& p = params.p;
-  if (!ec_on_curve(P, p) || !ec_on_curve(Q, p)) {
-    throw std::invalid_argument("tate_pairing: point not on curve");
-  }
-  if (P.infinity || Q.infinity) return fp2_one();
-  static obs::Counter& obs_miller = obs::counter("crypto.pairing.miller");
-  obs_miller.add();
-  static obs::Counter& obs_fe = obs::counter("crypto.pairing.finalexp");
-  obs_fe.add();
-
-  // Miller loop computing f_{r,P}(φ(Q)) in Jacobian coordinates. Each
-  // step's line value is off by a factor in F_p*, which accumulates into
-  // f as some s ∈ F_p*; the final exponentiation maps f·s and f to the
-  // same GT element (conj(s)·s^{-1} = 1), so the result is bit-identical
-  // to the affine loop's — with zero inversions per step.
-  Fp2 f = fp2_one();
-  JacPoint V{P.x, P.y, Bigint(1)};
-  const Bigint& r = params.r;
-  for (std::size_t i = r.bit_length() - 1; i-- > 0;) {
-    f = fp2_mul(fp2_square(f, p), dbl_step(V, Q.x, Q.y, p), p);
-    if (r.bit(i)) {
-      f = fp2_mul(f, add_step(V, P, Q.x, Q.y, p), p);
-    }
-  }
-  return final_exponentiation(params, f);
-}
 
 Fp2 tate_pairing_affine(const TypeAParams& params, const EcPoint& P,
                         const EcPoint& Q) {

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "bigint/limbs.h"
 #include "bigint/modarith.h"
 #include "bigint/prime.h"
 #include "hash/mgf1.h"
@@ -110,9 +111,10 @@ Bigint rsa_public_op(const RsaPublicKey& key, const Bigint& m) {
   // An honest n = p·q is odd; the shared context makes the verify-heavy
   // paths (blind-signature deposit checks, market-wide signature
   // validation) pay the Montgomery setup once per key instead of once per
-  // call. Degenerate even moduli (hostile key material) still compute.
-  if (key.n.is_even()) return modexp(m, key.e, key.n);
-  return modexp(m, key.e, *montgomery_ctx(key.n));
+  // call. Degenerate even moduli (hostile key material) and moduli wider
+  // than FpCtx's 2048 bits still compute through the facade.
+  if (!FpCtx::supports(key.n)) return modexp(m, key.e, key.n);
+  return modexp(m, key.e, *fp_ctx(key.n));
 }
 
 Bigint rsa_private_op(const RsaPrivateKey& key, const Bigint& c) {
@@ -127,8 +129,8 @@ Bigint rsa_private_op(const RsaPrivateKey& key, const Bigint& c) {
   // prime-modulus contexts are cached per key factor (honest factors are
   // odd; anything else falls back to the general facade).
   const auto crt_half = [&c](const Bigint& d, const Bigint& prime) {
-    return prime.is_odd() ? modexp(c, d, *montgomery_ctx(prime))
-                          : modexp(c, d, prime);
+    return FpCtx::supports(prime) ? modexp(c, d, *fp_ctx(prime))
+                                  : modexp(c, d, prime);
   };
   const Bigint mp = crt_half(key.dp, key.p);
   const Bigint mq = crt_half(key.dq, key.q);

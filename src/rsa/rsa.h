@@ -57,8 +57,9 @@ struct RsaKeyPair {
 };
 
 /// Generate an RSA key with modulus of exactly `bits` bits (bits >= 32,
-/// even). The default exponent is 65537; generation retries primes until
-/// gcd(e, lambda(n)) == 1.
+/// even, at most 4096: prime candidates are tested on FpCtx, see
+/// bigint/prime.h). The default exponent is 65537; generation retries
+/// primes until gcd(e, lambda(n)) == 1.
 RsaKeyPair rsa_generate(SecureRandom& rng, std::size_t bits,
                         const Bigint& e = Bigint(65537));
 

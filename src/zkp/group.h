@@ -19,7 +19,7 @@
 
 namespace ppms {
 
-class MontgomeryCtx;
+class FpCtx;
 class FixedBasePow;
 
 class Group {
@@ -102,9 +102,10 @@ class ZnGroup final : public Group {
 
   Bigint modulus_, order_, generator_;
   std::size_t width_;
-  /// Session-lifetime Montgomery context for modulus_ (null for the
-  /// degenerate even-modulus case, where modexp falls back to the window).
-  std::shared_ptr<const MontgomeryCtx> mont_;
+  /// Session-lifetime Montgomery context for modulus_ (null when FpCtx
+  /// cannot hold it — even or wider than 2048 bits — where modexp falls
+  /// back to the window).
+  std::shared_ptr<const FpCtx> fp_;
   /// Fixed-base table for generator_, built by the first pow_gen call
   /// (atomic publish; a racing duplicate build is harmless and dropped).
   mutable std::shared_ptr<const FixedBasePow> gen_table_;
@@ -139,6 +140,8 @@ class EcGroup final : public Group {
 /// use fp2_serialize.
 class GtGroup final : public Group {
  public:
+  /// Throws std::invalid_argument when the pairing engine cannot serve p
+  /// (p even, or wider than 2048 bits).
   explicit GtGroup(TypeAParams params);
 
   const TypeAParams& params() const { return params_; }
@@ -147,15 +150,13 @@ class GtGroup final : public Group {
   Fp2 decode(const Bytes& a) const;
 
   /// The session-lifetime pairing engine backing this group's pairings
-  /// and exponentiations. Null only for the degenerate even-modulus case
-  /// (adversarial deserialization tests), where everything falls back to
-  /// the division-based facade.
-  const PairingEngine* engine() const { return engine_.get(); }
+  /// and exponentiations.
+  const PairingEngine& engine() const { return *engine_; }
 
   /// ê(P, Q) encoded as a GT element.
   Bytes pair(const EcPoint& P, const EcPoint& Q) const;
 
-  /// ê(pre.point(), Q) via a table built by engine()->precompute().
+  /// ê(pre.point(), Q) via a table built by engine().precompute().
   Bytes pair(const PairingPrecomp& pre, const EcPoint& Q) const;
 
   /// ∏ ê(P_i, Q_i)^{±e_i} with a single final exponentiation.

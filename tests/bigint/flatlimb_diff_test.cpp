@@ -1,8 +1,10 @@
 // Differential fuzz harness: the flat-limb kernels and FpCtx layer
-// (bigint/limbs.h) against the Bigint oracle, on adversarial operands —
-// all-ones limbs, carry-chain boundaries, operands at/near the modulus,
-// in-place aliasing. Any divergence is a hard failure: the flat path ships
-// only because it is bit-identical to the reference arithmetic.
+// (bigint/limbs.h) against plain Bigint arithmetic and modexp_binary, on
+// adversarial operands — all-ones limbs, carry-chain boundaries, operands
+// at/near the modulus, in-place aliasing, odd 32-bit-limb widths. Any
+// divergence is a hard failure: FpCtx is the library's only Montgomery
+// implementation and ships only because it is bit-identical to the
+// reference arithmetic.
 #include "bigint/limbs.h"
 
 #include <gtest/gtest.h>
@@ -14,7 +16,6 @@
 
 #include "bigint/bigint.h"
 #include "bigint/modarith.h"
-#include "bigint/montgomery.h"
 
 namespace ppms {
 namespace {
@@ -237,15 +238,6 @@ TEST(FlatLimbFpCtx, RingOpsAtModulusBoundaries) {
         F.dbl(r, F.pack(x));
         ASSERT_EQ(F.unpack(r), (x + x).mod(m)) << "dbl";
       }
-      // Wide REDC on boundary values up to R² - 1.
-      const Bigint R = Bigint::two_pow(64 * n);
-      const Bigint rinv = modinv(R, m);
-      for (const Bigint& t :
-           {Bigint(0), R - Bigint(1), R, m * R - Bigint(1), R * R - Bigint(1),
-            (R * R - Bigint(1)) >> 3}) {
-        ASSERT_EQ(F.redc_wide(t), modmul(t.mod(m), rinv, m))
-            << "redc_wide t=" << t.to_hex();
-      }
     }
   }
 }
@@ -259,75 +251,50 @@ TEST(FlatLimbFpCtx, RejectsUnsupportedModuli) {
   EXPECT_THROW(FpCtx ctx(Bigint(8)), std::invalid_argument);
 }
 
-// The MontgomeryCtx bridge: a flat-mode context and an oracle-mode context
-// for the same modulus must agree bit for bit on every public operation,
-// including out-of-domain operands that take the fallback paths.
+// FpCtx against the plain-Bigint oracle at every width class. The odd
+// 32-bit-limb widths (65, 71, 96, 160 bits) matter most: they ran on a
+// separate 32-bit Montgomery kernel until FpCtx became the only one. The
+// 3072-bit modulus is past FpCtx's width, where the modexp facade must
+// take the division-based window instead.
 TEST(FlatLimbMontgomeryBridge, FlatAndOracleContextsAgree) {
-  const bool saved = flat_limbs_enabled();
   SecureRandom rng(7006);
-  // Widths in 32-bit limbs: even counts are flat-eligible, odd counts and
-  // the beyond-2048-bit modulus must stay on (and agree with) the oracle.
-  for (const std::size_t bits : {std::size_t{96}, std::size_t{128},
-                                 std::size_t{160}, std::size_t{256},
-                                 std::size_t{1024}, std::size_t{3072}}) {
+  for (const std::size_t bits :
+       {std::size_t{65}, std::size_t{71}, std::size_t{96}, std::size_t{128},
+        std::size_t{160}, std::size_t{256}, std::size_t{1024},
+        std::size_t{3072}}) {
     Bigint m =
         Bigint::random_bits(rng, bits - 1) + Bigint::two_pow(bits - 1);
     if (m.is_even()) m += Bigint(1);
-    set_flat_limbs_enabled(true);
-    const MontgomeryCtx flat_ctx(m);
-    set_flat_limbs_enabled(false);
-    const MontgomeryCtx oracle(m);
-    set_flat_limbs_enabled(saved);
-    const bool expect_flat = bits % 64 == 0 && bits <= 2048;
-    ASSERT_EQ(flat_ctx.flat(), expect_flat) << bits;
-    ASSERT_FALSE(oracle.flat());
-    ASSERT_EQ(flat_ctx.mont_one(), oracle.mont_one());
+    const std::vector<Bigint> exps{Bigint(0), Bigint(1), Bigint(2),
+                                   Bigint::random_bits(rng, bits)};
+    const Bigint base = Bigint::random_bits(rng, bits);
+    for (const Bigint& e : exps) {
+      ASSERT_EQ(modexp(base, e, m), modexp_binary(base, e, m))
+          << "facade bits=" << bits;
+    }
+    ASSERT_EQ(FpCtx::supports(m), bits <= 2048) << bits;
+    if (!FpCtx::supports(m)) continue;
 
-    std::vector<Bigint> vals{Bigint(0), Bigint(1), m - Bigint(1), m,
-                             m + Bigint(1), Bigint(-5),
-                             Bigint::two_pow(bits) - Bigint(1),
-                             Bigint::random_bits(rng, 2 * bits)};
+    const FpCtx F(m);
+    const std::vector<Bigint> vals{Bigint(0), Bigint(1), m - Bigint(1), m,
+                                   m + Bigint(1), Bigint(-5),
+                                   Bigint::two_pow(bits) - Bigint(1),
+                                   Bigint::random_bits(rng, 2 * bits)};
     for (const Bigint& x : vals) {
-      ASSERT_EQ(flat_ctx.to_mont(x), oracle.to_mont(x)) << "to_mont";
-      if (!x.is_negative()) {
-        ASSERT_EQ(flat_ctx.from_mont(x), oracle.from_mont(x)) << "from_mont";
-      }
+      ASSERT_EQ(F.from_mont(F.to_mont(x)), x.mod(m)) << "round trip";
       for (const Bigint& y : vals) {
-        ASSERT_EQ(flat_ctx.mul(x, y), oracle.mul(x, y))
-            << "mul bits=" << bits;
+        FpElem r;
+        F.mul(r, F.to_mont(x), F.to_mont(y));
+        ASSERT_EQ(F.from_mont(r), modmul(x, y, m)) << "mul bits=" << bits;
       }
     }
-    for (const Bigint& e :
-         {Bigint(0), Bigint(1), Bigint(2), Bigint::random_bits(rng, bits)}) {
-      const Bigint base = Bigint::random_bits(rng, bits);
-      ASSERT_EQ(flat_ctx.pow(base, e), oracle.pow(base, e)) << "pow";
+    for (const Bigint& e : exps) {
+      ASSERT_EQ(F.pow(base, e), modexp_binary(base, e, m))
+          << "pow bits=" << bits;
+      ASSERT_EQ(F.pow(Bigint(-3), e), modexp_binary(Bigint(-3), e, m));
     }
+    EXPECT_THROW(F.pow(base, Bigint(-1)), std::invalid_argument);
   }
-  set_flat_limbs_enabled(saved);
-}
-
-TEST(FlatLimbSwitch, ContextCacheRebuildsOnModeToggle) {
-  const bool saved = flat_limbs_enabled();
-  SecureRandom rng(7007);
-  Bigint m = Bigint::random_bits(rng, 127) + Bigint::two_pow(127);
-  if (m.is_even()) m += Bigint(1);
-
-  set_flat_limbs_enabled(true);
-  const auto flat_ctx = montgomery_ctx(m);
-  EXPECT_TRUE(flat_ctx->flat());
-  EXPECT_TRUE(montgomery_ctx(m)->flat());  // cache hit, same mode
-
-  set_flat_limbs_enabled(false);
-  const auto oracle = montgomery_ctx(m);  // stale-mode entry must rebuild
-  EXPECT_FALSE(oracle->flat());
-
-  set_flat_limbs_enabled(true);
-  EXPECT_TRUE(montgomery_ctx(m)->flat());
-
-  const Bigint a = Bigint::random_bits(rng, 128).mod(m);
-  const Bigint b = Bigint::random_bits(rng, 128).mod(m);
-  EXPECT_EQ(flat_ctx->mul(a, b), oracle->mul(a, b));
-  set_flat_limbs_enabled(saved);
 }
 
 TEST(FlatLimbFpCtxCache, SharedPerModulus) {

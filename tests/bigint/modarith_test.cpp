@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bigint/limbs.h"
 #include "bigint/montgomery.h"
 #include "bigint/prime.h"
 
@@ -55,7 +56,7 @@ TEST_P(ModExpStrategies, AllStrategiesAgree) {
     const Bigint exp = Bigint::random_bits(rng, 128);
     const Bigint r1 = modexp_binary(base, exp, m);
     const Bigint r2 = modexp_window(base, exp, m);
-    const Bigint r3 = modexp_montgomery(base, exp, m);
+    const Bigint r3 = fp_ctx(m)->pow(base, exp);
     const Bigint r4 = modexp(base, exp, m);
     EXPECT_EQ(r1, r2);
     EXPECT_EQ(r1, r3);
@@ -67,21 +68,20 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ModExpStrategies,
                          ::testing::Values(101, 102, 103));
 
 TEST(ModExp, EvenModulusFallsBackCorrectly) {
-  // Montgomery cannot handle even moduli; the facade must still be right.
+  // FpCtx cannot hold even moduli; the facade must still be right.
   const Bigint m = Bigint::from_decimal("1000000000000000000000000");  // even
   const Bigint r = modexp(Bigint(3), Bigint(100), m);
   EXPECT_EQ(r, modexp_binary(Bigint(3), Bigint(100), m));
 }
 
 TEST(ModExp, ModulusOneCanonicalZeroAllStrategies) {
-  // x mod 1 == 0 for every x; all four entry points must return the
+  // x mod 1 == 0 for every x; all three entry points must return the
   // canonical zero (empty limb vector), not a denormalized one.
   for (const auto& base : {Bigint(0), Bigint(5), Bigint(-3)}) {
     for (const auto& exp : {Bigint(0), Bigint(1), Bigint(100)}) {
       EXPECT_EQ(modexp(base, exp, Bigint(1)), Bigint());
       EXPECT_EQ(modexp_binary(base, exp, Bigint(1)), Bigint());
       EXPECT_EQ(modexp_window(base, exp, Bigint(1)), Bigint());
-      EXPECT_EQ(modexp_montgomery(base, exp, Bigint(1)), Bigint());
     }
   }
 }
@@ -108,7 +108,7 @@ TEST(ModExp, ExplicitContextMatchesFacade) {
   SecureRandom rng(106);
   Bigint m = Bigint::random_bits(rng, 512);
   if (m.is_even()) m += Bigint(1);
-  const auto ctx = montgomery_ctx(m);
+  const auto ctx = fp_ctx(m);
   for (int i = 0; i < 8; ++i) {
     const Bigint base = Bigint::random_bits(rng, 600);
     const Bigint exp = Bigint::random_bits(rng, 256);
@@ -118,29 +118,31 @@ TEST(ModExp, ExplicitContextMatchesFacade) {
 }
 
 TEST(MontgomeryCache, SharesOneContextPerModulus) {
-  montgomery_cache_clear();
+  fp_ctx_cache_clear();
   const Bigint m(1000003);
-  const auto a = montgomery_ctx(m);
-  const auto b = montgomery_ctx(m);
+  const auto a = fp_ctx(m);
+  const auto b = fp_ctx(m);
   EXPECT_EQ(a.get(), b.get());
-  EXPECT_EQ(montgomery_cache_size(), 1u);
-  montgomery_cache_clear();
-  EXPECT_EQ(montgomery_cache_size(), 0u);
+  EXPECT_EQ(fp_ctx_cache_size(), 1u);
+  fp_ctx_cache_clear();
+  EXPECT_EQ(fp_ctx_cache_size(), 0u);
 }
 
 TEST(MontgomeryCache, RejectsDegenerateModuli) {
-  EXPECT_THROW(montgomery_ctx(Bigint(10)), std::invalid_argument);  // even
-  EXPECT_THROW(montgomery_ctx(Bigint(1)), std::invalid_argument);
-  EXPECT_THROW(montgomery_ctx(Bigint(-7)), std::invalid_argument);
+  EXPECT_THROW(fp_ctx(Bigint(10)), std::invalid_argument);  // even
+  EXPECT_THROW(fp_ctx(Bigint(1)), std::invalid_argument);
+  EXPECT_THROW(fp_ctx(Bigint(-7)), std::invalid_argument);
+  EXPECT_THROW(fp_ctx(Bigint::two_pow(2048) + Bigint(1)),  // too wide
+               std::invalid_argument);
 }
 
 TEST(MontgomeryCache, CapacityStaysBounded) {
-  montgomery_cache_clear();
+  fp_ctx_cache_clear();
   for (int i = 0; i < 200; ++i) {
-    (void)montgomery_ctx(Bigint(1000003 + 2 * i));
+    (void)fp_ctx(Bigint(1000003 + 2 * i));
   }
-  EXPECT_LE(montgomery_cache_size(), 64u);
-  montgomery_cache_clear();
+  EXPECT_LE(fp_ctx_cache_size(), 64u);
+  fp_ctx_cache_clear();
 }
 
 TEST(FixedBasePow, MatchesGeneralModexp) {
@@ -148,7 +150,7 @@ TEST(FixedBasePow, MatchesGeneralModexp) {
   Bigint m = Bigint::random_bits(rng, 512);
   if (m.is_even()) m += Bigint(1);
   const Bigint base = Bigint::random_below(rng, m);
-  const FixedBasePow table(montgomery_ctx(m), base, 256);
+  const FixedBasePow table(fp_ctx(m), base, 256);
   for (int i = 0; i < 10; ++i) {
     const Bigint exp = Bigint::random_bits(rng, 256);
     EXPECT_EQ(table.pow(exp), modexp_binary(base, exp, m));
@@ -162,90 +164,57 @@ TEST(FixedBasePow, MatchesGeneralModexp) {
   EXPECT_EQ(table.pow(wide), modexp_binary(base, wide, m));
 }
 
-TEST(Montgomery, ReduceHandlesMaximalInput) {
-  // from_mont accepts any 2n-limb value; the all-ones maximum drives the
-  // carry ripple in reduce() to its furthest column for every size.
-  // Cross-check against the direct t·R^{-1} mod m computation.
-  SecureRandom rng(107);
-  for (const int bits : {96, 128, 256, 512, 1024}) {
-    Bigint m = Bigint::random_bits(rng, static_cast<std::size_t>(bits));
-    if (m.is_even()) m += Bigint(1);
-    const MontgomeryCtx ctx(m);
-    const std::size_t n = m.raw_limbs().size();
-    // t = 2^(64n) - 1: 2n limbs of 0xFFFFFFFF.
-    const Bigint t = Bigint::two_pow(64 * n) - Bigint(1);
-    const Bigint r_inv = modinv(Bigint::two_pow(32 * n), m);
-    EXPECT_EQ(ctx.from_mont(t), (t * r_inv).mod(m)) << bits;
-  }
-}
-
 TEST(Montgomery, ReduceMatchesPlainProductAtWordBoundaries) {
   // a·b with both operands just below the modulus lands near the m·R
   // in-domain ceiling — the regime where a missed final subtraction or a
-  // carry overrun would first show.
+  // carry overrun would first show. 96 and 160 bits have an odd number of
+  // 32-bit limbs, so their top 64-bit limb is half empty.
   SecureRandom rng(108);
-  for (const int bits : {128, 512, 2048}) {
+  for (const int bits : {96, 128, 160, 512, 2048}) {
     Bigint m = Bigint::random_bits(rng, static_cast<std::size_t>(bits));
     if (m.is_even()) m += Bigint(1);
-    const MontgomeryCtx ctx(m);
+    const FpCtx ctx(m);
     const Bigint a = m - Bigint(1);
     const Bigint b = m - Bigint(2);
-    const Bigint got = ctx.from_mont(ctx.mul(ctx.to_mont(a), ctx.to_mont(b)));
-    EXPECT_EQ(got, (a * b).mod(m)) << bits;
+    FpElem r;
+    ctx.mul(r, ctx.to_mont(a), ctx.to_mont(b));
+    EXPECT_EQ(ctx.from_mont(r), (a * b).mod(m)) << bits;
   }
-}
-
-TEST(Montgomery, MulHandlesOutOfDomainOperands) {
-  // mul's fused CIOS assumes operands below the modulus; wider or larger
-  // values must still reduce correctly via the fallback path, and tiny
-  // operands (fewer limbs than the modulus) via zero-padding.
-  SecureRandom rng(109);
-  Bigint m = Bigint::random_bits(rng, 160);
-  if (m.is_even()) m += Bigint(1);
-  const MontgomeryCtx ctx(m);
-  const std::size_t n = m.raw_limbs().size();
-  const Bigint r_inv = modinv(Bigint::two_pow(32 * n), m);
-  const auto redc = [&](const Bigint& a, const Bigint& b) {
-    return (a * b * r_inv).mod(m);
-  };
-  // Same limb count but >= m; zero; single limb.
-  const Bigint big_same_width = m + Bigint(12345);
-  for (const Bigint& a : {big_same_width, Bigint(0), Bigint(7)}) {
-    for (const Bigint& b : {big_same_width, Bigint(0), Bigint(7)}) {
-      EXPECT_EQ(ctx.mul(a, b), redc(a, b));
-    }
-  }
-  // An operand wider than the modulus takes the unfused fallback; keep
-  // the product inside reduce()'s 2n-limb domain.
-  const Bigint wider = Bigint::random_bits(rng, 320);
-  EXPECT_EQ(ctx.mul(wider, Bigint(7)), redc(wider, Bigint(7)));
-  EXPECT_EQ(ctx.mul(Bigint(7), wider), redc(Bigint(7), wider));
 }
 
 TEST(Montgomery, MulHandlesModulusBeyondStackBuffer) {
-  // Moduli wider than the fused path's stack scratch take the heap
-  // scratch; exercise one well past that boundary (66 limbs = 2112 bits).
+  // FpCtx's stack accumulators hold kMaxFpLimbs limbs: a full 2048-bit
+  // modulus fills them exactly, and anything wider must be refused (the
+  // facade then takes the division-based window).
   SecureRandom rng(110);
-  Bigint m = Bigint::random_bits(rng, 3072);
+  Bigint m = Bigint::random_bits(rng, 2047) + Bigint::two_pow(2047);
   if (m.is_even()) m += Bigint(1);
-  const MontgomeryCtx ctx(m);
+  const FpCtx ctx(m);
+  EXPECT_EQ(ctx.limbs(), limb::kMaxFpLimbs);
   const Bigint a = Bigint::random_below(rng, m);
   const Bigint b = Bigint::random_below(rng, m);
-  EXPECT_EQ(ctx.from_mont(ctx.mul(ctx.to_mont(a), ctx.to_mont(b))),
-            (a * b).mod(m));
+  FpElem r;
+  ctx.mul(r, ctx.to_mont(a), ctx.to_mont(b));
+  EXPECT_EQ(ctx.from_mont(r), (a * b).mod(m));
+
+  Bigint wide = Bigint::random_bits(rng, 3072);
+  if (wide.is_even()) wide += Bigint(1);
+  EXPECT_THROW(FpCtx{wide}, std::invalid_argument);
+  const Bigint exp = Bigint::random_bits(rng, 64);
+  EXPECT_EQ(modexp(a, exp, wide), modexp_binary(a, exp, wide));
 }
 
 TEST(Montgomery, RejectsBadModulus) {
-  EXPECT_THROW(MontgomeryCtx(Bigint(10)), std::invalid_argument);  // even
-  EXPECT_THROW(MontgomeryCtx(Bigint(1)), std::invalid_argument);
-  EXPECT_THROW(MontgomeryCtx(Bigint(-7)), std::invalid_argument);
+  EXPECT_THROW(FpCtx{Bigint(10)}, std::invalid_argument);  // even
+  EXPECT_THROW(FpCtx{Bigint(1)}, std::invalid_argument);
+  EXPECT_THROW(FpCtx{Bigint(-7)}, std::invalid_argument);
 }
 
 TEST(Montgomery, ToFromRoundTrip) {
   SecureRandom rng(70);
   Bigint m = Bigint::random_bits(rng, 512);
   if (m.is_even()) m += Bigint(1);
-  const MontgomeryCtx ctx(m);
+  const FpCtx ctx(m);
   for (int i = 0; i < 20; ++i) {
     const Bigint x = Bigint::random_below(rng, m);
     EXPECT_EQ(ctx.from_mont(ctx.to_mont(x)), x);
@@ -256,18 +225,18 @@ TEST(Montgomery, MulMatchesPlainModmul) {
   SecureRandom rng(71);
   Bigint m = Bigint::random_bits(rng, 384);
   if (m.is_even()) m += Bigint(1);
-  const MontgomeryCtx ctx(m);
+  const FpCtx ctx(m);
   for (int i = 0; i < 20; ++i) {
     const Bigint a = Bigint::random_below(rng, m);
     const Bigint b = Bigint::random_below(rng, m);
-    const Bigint got =
-        ctx.from_mont(ctx.mul(ctx.to_mont(a), ctx.to_mont(b)));
-    EXPECT_EQ(got, (a * b).mod(m));
+    FpElem r;
+    ctx.mul(r, ctx.to_mont(a), ctx.to_mont(b));
+    EXPECT_EQ(ctx.from_mont(r), (a * b).mod(m));
   }
 }
 
 TEST(Montgomery, PowEdgeExponents) {
-  const MontgomeryCtx ctx(Bigint(1000003));
+  const FpCtx ctx(Bigint(1000003));
   EXPECT_EQ(ctx.pow(Bigint(5), Bigint(0)), Bigint(1));
   EXPECT_EQ(ctx.pow(Bigint(5), Bigint(1)), Bigint(5));
   EXPECT_EQ(ctx.pow(Bigint(2), Bigint(20)), Bigint(1048576 % 1000003));
@@ -368,13 +337,16 @@ TEST(Isqrt, LargeValueProperty) {
 }
 
 TEST(Montgomery, RsaStyleRoundTrip) {
-  // Tiny RSA relation exercises a full enc/dec cycle through modexp.
+  // Tiny RSA relation exercises a full enc/dec cycle through modexp and
+  // through the modulus's own context.
   const Bigint p(61), q(53);
   const Bigint n = p * q;                       // 3233
   const Bigint e(17), d(413);  // e*d == 1 mod lambda(n) == 780
   const Bigint msg(65);
   const Bigint c = modexp(msg, e, n);
   EXPECT_EQ(modexp(c, d, n), msg);
+  const FpCtx ctx(n);
+  EXPECT_EQ(ctx.pow(ctx.pow(msg, e), d), msg);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "bigint/modarith.h"
+
 namespace ppms {
 namespace {
 
@@ -88,6 +90,48 @@ TEST(PrimeTest, MillerRabinRoundWitnessDetectsComposite) {
   EXPECT_FALSE(miller_rabin_round(Bigint(221), Bigint(2)));
   // ...but 174 is a strong liar for 221.
   EXPECT_TRUE(miller_rabin_round(Bigint(221), Bigint(174)));
+}
+
+// Textbook Miller-Rabin round on the modexp_binary ladder.
+bool reference_round(const Bigint& n, const Bigint& base) {
+  const Bigint n_minus_1 = n - Bigint(1);
+  Bigint d = n_minus_1;
+  std::size_t s = 0;
+  while (d.is_even()) {
+    d = d >> 1;
+    ++s;
+  }
+  Bigint x = modexp_binary(base, d, n);
+  if (x.is_one() || x == n_minus_1) return true;
+  for (std::size_t i = 1; i < s; ++i) {
+    x = (x * x).mod(n);
+    if (x == n_minus_1) return true;
+  }
+  return false;
+}
+
+TEST(PrimeTest, OddLimbWidthsMatchReferenceRounds) {
+  // Candidates with an odd number of 32-bit limbs, which ran on a separate
+  // 32-bit Montgomery kernel until FpCtx became the only one.
+  SecureRandom rng(93);
+  for (const std::size_t bits : {std::size_t{65}, std::size_t{71},
+                                 std::size_t{96}, std::size_t{160}}) {
+    const Bigint p = random_prime(rng, bits);
+    const Bigint q = random_prime(rng, bits);
+    EXPECT_EQ(p.bit_length(), bits);
+    EXPECT_TRUE(is_probable_prime(p, rng)) << bits;
+    EXPECT_FALSE(is_probable_prime(p * q, rng)) << bits;
+    Bigint odd = Bigint::random_bits(rng, bits - 1) + Bigint::two_pow(bits - 1);
+    if (odd.is_even()) odd += Bigint(1);
+    for (const Bigint& n : {p, p * q, odd}) {
+      for (int i = 0; i < 4; ++i) {
+        const Bigint base =
+            Bigint::random_range(rng, Bigint(2), n - Bigint(2));
+        EXPECT_EQ(miller_rabin_round(n, base), reference_round(n, base))
+            << bits << "-bit n=" << n.to_hex();
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 // cios_mont_mul oracle on adversarial operands — modulus-boundary and
 // out-of-domain values, aliased in/out pointers, ragged batch tails —
 // plus the batch layers above (FpCtx::mul_batch / sqr_batch /
-// FpLaneBatch), cross-mode PairingPrecomp replay, and a threaded
-// dispatch-toggle hammer for the TSan leg. Any divergence is a hard
+// FpLaneBatch), PairingPrecomp replay across dispatch levels, and a
+// threaded dispatch-toggle hammer for the TSan leg. Any divergence is a hard
 // failure: the lane kernels ship only because they are bit-identical to
 // the scalar kernel for any in-width input.
 #include "bigint/simd.h"
@@ -19,7 +19,6 @@
 
 #include "bigint/bigint.h"
 #include "bigint/limbs.h"
-#include "bigint/montgomery.h"
 #include "bigint/simd_detail.h"
 #include "pairing/pipeline.h"
 #include "pairing/tate.h"
@@ -352,7 +351,7 @@ TEST(SimdDiff, FpCtxBatchesMatchSequentialMul) {
   }
 }
 
-// --- cross-mode pairing replay ---------------------------------------------
+// --- pairing replay across dispatch levels ---------------------------------
 
 // A PairingPrecomp table built under one dispatch level must replay to
 // bit-identical pairings under the other, in every combination.

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "core/params.h"
+#include "dec/bank.h"
+#include "dec/wallet.h"
 #include "support/market_error_assert.h"
 
 namespace ppms {
@@ -31,6 +33,32 @@ TEST(PpmsDecTest, FullRoundPaysAndSettles) {
   const auto jo_aid = market.infra().bank.find_account("hospital");
   EXPECT_EQ(market.infra().bank.balance(*jo_aid),
             static_cast<std::int64_t>(market.config().initial_balance) - 8);
+}
+
+TEST(PpmsDecTest, DecRoundAtEightLevels) {
+  // At L = 8 the deepest tower moduli reach 65 bits, an odd number of
+  // 32-bit limbs: those groups ran on a separate 32-bit Montgomery kernel
+  // until FpCtx became the only one. A leaf spend walks every level.
+  const DecParams params = fast_dec_params(808, 8);
+  EXPECT_GE(params.tower.back().modulus().bit_length(), 65u);
+  SecureRandom rng(809);
+  DecBank bank(params, rng);
+  DecWallet wallet(params, rng);
+  const Bytes ctx = bytes_of("withdraw");
+  const auto cert = bank.withdraw(wallet.commitment(),
+                                  wallet.prove_commitment(rng, ctx), ctx, rng);
+  ASSERT_TRUE(cert.has_value());
+  wallet.set_certificate(bank.public_key(), *cert);
+  const SpendBundle bundle =
+      wallet.spend(*wallet.allocate(1), bank.public_key(), rng, {});
+  EXPECT_EQ(bundle.node.depth, 8u);
+  const SettleOutcome first = bank.deposit(bundle);
+  EXPECT_TRUE(first.accepted()) << first.reason;
+  EXPECT_EQ(first.value, 1u);
+  const SettleOutcome again = bank.deposit(bundle);
+  EXPECT_FALSE(again.accepted());
+  ASSERT_TRUE(again.errc.has_value());
+  EXPECT_EQ(*again.errc, MarketErrc::kDoubleSpend);
 }
 
 TEST(PpmsDecTest, EpcbaBreaksPowerOfTwoIntoMultipleCoins) {

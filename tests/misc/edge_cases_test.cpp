@@ -62,8 +62,8 @@ TEST(EdgeCaseTest, PairingOfNegatedPointIsInverse) {
   const TypeAParams params = typea_generate(rng, 48, 128);
   const EcPoint P = typea_random_subgroup_point(params, rng);
   const EcPoint Q = typea_random_subgroup_point(params, rng);
-  const Fp2 e = tate_pairing(params, P, Q);
-  const Fp2 e_neg = tate_pairing(params, ec_neg(P, params.p), Q);
+  const Fp2 e = tate_pairing_affine(params, P, Q);
+  const Fp2 e_neg = tate_pairing_affine(params, ec_neg(P, params.p), Q);
   EXPECT_TRUE(fp2_is_one(fp2_mul(e, e_neg, params.p)));
 }
 

@@ -1,7 +1,9 @@
-// Flat-limb pairing path vs the Bigint oracle path: the same engine API
-// under both settings of PPMS_FLAT_LIMBS must produce bit-identical GT
-// values, precomp tables must replay correctly across modes, and a shared
-// flat engine must stay exact under concurrent use (the TSan angle).
+// The pairing engine against the textbook oracles: tate_pairing_affine
+// composed with plain F_p² arithmetic. The engine has one field path and
+// one Miller loop; its only remaining modes are the SIMD dispatch levels
+// of the lane-batched products, so every result is also checked to be
+// identical with the lane kernels forced off. A shared engine must stay
+// exact under concurrent use (the TSan angle).
 #include "pairing/pipeline.h"
 
 #include <gtest/gtest.h>
@@ -10,9 +12,7 @@
 #include <thread>
 #include <vector>
 
-#include "bigint/limbs.h"
-#include "bigint/modarith.h"
-#include "obs/metrics.h"
+#include "bigint/simd.h"
 #include "pairing/fp.h"
 #include "pairing/fp2.h"
 #include "pairing/tate.h"
@@ -28,29 +28,22 @@ const TypeAParams& params() {
   return prm;
 }
 
-// Engines constructed under each mode. The global switch is only read at
-// construction, so holding both at once is fine.
-struct ModePair {
-  PairingEngine flat;
-  PairingEngine oracle;
-};
-
-const ModePair& engines() {
-  static const ModePair pair = [] {
-    const bool saved = flat_limbs_enabled();
-    set_flat_limbs_enabled(true);
-    PairingEngine flat(params());
-    set_flat_limbs_enabled(false);
-    PairingEngine oracle(params());
-    set_flat_limbs_enabled(saved);
-    return ModePair{std::move(flat), std::move(oracle)};
-  }();
-  return pair;
+const PairingEngine& engine() {
+  static const PairingEngine e(params());
+  return e;
 }
 
-TEST(FlatPairingPath, EngineModesMatchConstructionSwitch) {
-  EXPECT_TRUE(engines().flat.flat());
-  EXPECT_FALSE(engines().oracle.flat());
+// f() with the lane kernels forced off, then at the level in force before
+// the call; the two must agree. Returns the result.
+template <class F>
+Fp2 across_levels(F&& f) {
+  const simd::Level saved = simd::level();
+  simd::set_level(simd::Level::kScalar);
+  const Fp2 scalar = f();
+  simd::set_level(saved);
+  const Fp2 lanes = f();
+  EXPECT_EQ(scalar, lanes);
+  return lanes;
 }
 
 TEST(FlatPairingPath, LivePairBitIdenticalAcrossModesAndOracle) {
@@ -58,47 +51,15 @@ TEST(FlatPairingPath, LivePairBitIdenticalAcrossModesAndOracle) {
   for (int i = 0; i < 4; ++i) {
     const EcPoint P = typea_random_subgroup_point(params(), rng);
     const EcPoint Q = typea_random_subgroup_point(params(), rng);
-    const Fp2 f = engines().flat.pair(P, Q);
-    EXPECT_EQ(f, engines().oracle.pair(P, Q));
+    const Fp2 f = across_levels([&] { return engine().pair(P, Q); });
     EXPECT_EQ(f, tate_pairing_affine(params(), P, Q));
   }
 }
 
-TEST(FlatPairingPath, FlatMillerCounterPinsTheKernel) {
-  SecureRandom rng(9102);
-  const EcPoint P = typea_random_subgroup_point(params(), rng);
-  const EcPoint Q = typea_random_subgroup_point(params(), rng);
-  obs::Counter& flat_miller = obs::counter("crypto.fp.flat_miller");
-  obs::set_metrics_enabled(true);
-  const std::uint64_t before = flat_miller.value();
-  (void)engines().oracle.pair(P, Q);
-  EXPECT_EQ(flat_miller.value(), before);  // oracle path: no flat loops
-  (void)engines().flat.pair(P, Q);
-  EXPECT_EQ(flat_miller.value(), before + 1);
-  obs::set_metrics_enabled(false);
-}
-
-TEST(FlatPairingPath, PrecompTablesReplayAcrossModes) {
-  SecureRandom rng(9103);
-  const EcPoint P = typea_random_subgroup_point(params(), rng);
-  const EcPoint Q = typea_random_subgroup_point(params(), rng);
-  const PairingPrecomp flat_pre = engines().flat.precompute(P);
-  const PairingPrecomp oracle_pre = engines().oracle.precompute(P);
-  const Fp2 expect = tate_pairing_affine(params(), P, Q);
-  // Same-mode replay.
-  EXPECT_EQ(engines().flat.pair(flat_pre, Q), expect);
-  EXPECT_EQ(engines().oracle.pair(oracle_pre, Q), expect);
-  // Cross-mode replay: a flat-built table carries derived Bigint steps for
-  // the oracle engine; an oracle-built table sends the flat engine down
-  // its fallback path. Both must stay exact.
-  EXPECT_EQ(engines().oracle.pair(flat_pre, Q), expect);
-  EXPECT_EQ(engines().flat.pair(oracle_pre, Q), expect);
-}
-
 TEST(FlatPairingPath, PairProductBitIdenticalAcrossModes) {
   SecureRandom rng(9104);
-  const PairingPrecomp flat_pre =
-      engines().flat.precompute(typea_random_subgroup_point(params(), rng));
+  const PairingPrecomp pre =
+      engine().precompute(typea_random_subgroup_point(params(), rng));
   std::vector<PairingTerm> terms;
   for (int i = 0; i < 3; ++i) {
     PairingTerm t;
@@ -109,13 +70,12 @@ TEST(FlatPairingPath, PairProductBitIdenticalAcrossModes) {
     terms.push_back(t);
   }
   PairingTerm pt;
-  pt.pre = &flat_pre;
+  pt.pre = &pre;
   pt.Q = typea_random_subgroup_point(params(), rng);
   pt.exp = terms[0].exp;  // shares an accumulator group
   terms.push_back(pt);
 
-  const Fp2 flat_val = engines().flat.pair_product(terms);
-  EXPECT_EQ(flat_val, engines().oracle.pair_product(terms));
+  const Fp2 got = across_levels([&] { return engine().pair_product(terms); });
 
   // Oracle reference: compose affine pairings with plain F_p² arithmetic.
   const Bigint& p = params().p;
@@ -127,46 +87,47 @@ TEST(FlatPairingPath, PairProductBitIdenticalAcrossModes) {
     if (t.invert) v = fp2_inv(v, p);
     expect = fp2_mul(expect, v, p);
   }
-  EXPECT_EQ(flat_val, expect);
+  EXPECT_EQ(got, expect);
 }
 
 TEST(FlatPairingPath, GtPowsBitIdenticalAcrossModes) {
   SecureRandom rng(9105);
-  const Fp2 g = engines().flat.pair(params().g, params().g);
+  const Fp2 g = tate_pairing_affine(params(), params().g, params().g);
+  const Bigint& p = params().p;
   for (int i = 0; i < 4; ++i) {
     const Bigint e1 = Bigint::random_below(rng, params().r);
     const Bigint e2 = Bigint::random_below(rng, params().r);
-    EXPECT_EQ(engines().flat.gt_pow(g, e1), engines().oracle.gt_pow(g, e1));
-    EXPECT_EQ(engines().flat.gt_pow2(g, e1, g, e2),
-              engines().oracle.gt_pow2(g, e1, g, e2));
-    EXPECT_EQ(engines().flat.gt_pow(g, e1),
-              fp2_pow(g, e1, params().p));
+    const Fp2 h = fp2_pow(g, Bigint(7), p);
+    EXPECT_EQ(across_levels([&] { return engine().gt_pow(g, e1); }),
+              fp2_pow(g, e1, p));
+    EXPECT_EQ(across_levels([&] { return engine().gt_pow2(g, e1, h, e2); }),
+              fp2_mul(fp2_pow(g, e1, p), fp2_pow(h, e2, p), p));
   }
 }
 
 TEST(FlatPairingPath, InversionBudgetUnchanged) {
-  // The flat final exponentiation must keep the one-fp_inv-per-pairing
-  // budget the projective pipeline is built around.
+  // The final exponentiation must keep the one-fp_inv-per-pairing budget
+  // the projective pipeline is built around.
   SecureRandom rng(9106);
   const EcPoint P = typea_random_subgroup_point(params(), rng);
   const EcPoint Q = typea_random_subgroup_point(params(), rng);
   const std::uint64_t before = fp_inv_calls();
-  (void)engines().flat.pair(P, Q);
+  (void)engine().pair(P, Q);
   EXPECT_EQ(fp_inv_calls() - before, 1u);
-  (void)engines().flat.pair_product(
+  (void)engine().pair_product(
       {PairingTerm{nullptr, P, Q, Bigint(1), false},
        PairingTerm{nullptr, Q, P, Bigint(2), true}});
   EXPECT_EQ(fp_inv_calls() - before, 2u);  // one more for the whole product
 }
 
-// TSan target: one flat engine and one shared precomp table driven from
-// many threads; every result is checked against a fixed expected value so
-// data races surface as wrong answers even without the sanitizer.
+// TSan target: one engine and one shared precomp table driven from many
+// threads; every result is checked against a fixed expected value so data
+// races surface as wrong answers even without the sanitizer.
 TEST(FlatPairingConcurrency, SharedFlatEngineUnderThreads) {
   SecureRandom rng(9107);
   const EcPoint P = typea_random_subgroup_point(params(), rng);
   const EcPoint Q = typea_random_subgroup_point(params(), rng);
-  const PairingPrecomp pre = engines().flat.precompute(P);
+  const PairingPrecomp pre = engine().precompute(P);
   const Fp2 expect = tate_pairing_affine(params(), P, Q);
   constexpr int kThreads = 8;
   constexpr int kIters = 6;
@@ -176,8 +137,8 @@ TEST(FlatPairingConcurrency, SharedFlatEngineUnderThreads) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < kIters; ++i) {
-        if (engines().flat.pair(pre, Q) != expect) failures.fetch_add(1);
-        if (engines().flat.pair(P, Q) != expect) failures.fetch_add(1);
+        if (engine().pair(pre, Q) != expect) failures.fetch_add(1);
+        if (engine().pair(P, Q) != expect) failures.fetch_add(1);
       }
     });
   }

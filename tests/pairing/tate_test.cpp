@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "pairing/pipeline.h"
+
 namespace ppms {
 namespace {
 
@@ -17,12 +19,12 @@ TEST(TateTest, PairingValueHasOrderR) {
   SecureRandom rng(1);
   const EcPoint P = typea_random_subgroup_point(params(), rng);
   const EcPoint Q = typea_random_subgroup_point(params(), rng);
-  const Fp2 e = tate_pairing(params(), P, Q);
+  const Fp2 e = tate_pairing_affine(params(), P, Q);
   EXPECT_TRUE(fp2_is_one(fp2_pow(e, params().r, params().p)));
 }
 
 TEST(TateTest, NonDegenerateOnGenerator) {
-  const Fp2 e = tate_pairing(params(), params().g, params().g);
+  const Fp2 e = tate_pairing_affine(params(), params().g, params().g);
   EXPECT_FALSE(fp2_is_one(e));
 }
 
@@ -31,8 +33,8 @@ TEST(TateTest, BilinearInFirstArgument) {
   const EcPoint P = typea_random_subgroup_point(params(), rng);
   const EcPoint Q = typea_random_subgroup_point(params(), rng);
   const Bigint a(12345);
-  const Fp2 lhs = tate_pairing(params(), ec_mul(P, a, params().p), Q);
-  const Fp2 rhs = fp2_pow(tate_pairing(params(), P, Q), a, params().p);
+  const Fp2 lhs = tate_pairing_affine(params(), ec_mul(P, a, params().p), Q);
+  const Fp2 rhs = fp2_pow(tate_pairing_affine(params(), P, Q), a, params().p);
   EXPECT_EQ(lhs, rhs);
 }
 
@@ -41,8 +43,8 @@ TEST(TateTest, BilinearInSecondArgument) {
   const EcPoint P = typea_random_subgroup_point(params(), rng);
   const EcPoint Q = typea_random_subgroup_point(params(), rng);
   const Bigint b(6789);
-  const Fp2 lhs = tate_pairing(params(), P, ec_mul(Q, b, params().p));
-  const Fp2 rhs = fp2_pow(tate_pairing(params(), P, Q), b, params().p);
+  const Fp2 lhs = tate_pairing_affine(params(), P, ec_mul(Q, b, params().p));
+  const Fp2 rhs = fp2_pow(tate_pairing_affine(params(), P, Q), b, params().p);
   EXPECT_EQ(lhs, rhs);
 }
 
@@ -54,10 +56,10 @@ TEST(TateTest, JointBilinearity) {
   const EcPoint Q = typea_random_subgroup_point(params(), rng);
   const Bigint a = Bigint::random_range(rng, Bigint(1), params().r);
   const Bigint b = Bigint::random_range(rng, Bigint(1), params().r);
-  const Fp2 lhs = tate_pairing(params(), ec_mul(P, a, params().p),
+  const Fp2 lhs = tate_pairing_affine(params(), ec_mul(P, a, params().p),
                                ec_mul(Q, b, params().p));
   const Fp2 rhs =
-      fp2_pow(tate_pairing(params(), P, Q), (a * b).mod(params().r),
+      fp2_pow(tate_pairing_affine(params(), P, Q), (a * b).mod(params().r),
               params().p);
   EXPECT_EQ(lhs, rhs);
 }
@@ -67,16 +69,17 @@ TEST(TateTest, SymmetricPairing) {
   SecureRandom rng(5);
   const EcPoint P = typea_random_subgroup_point(params(), rng);
   const EcPoint Q = typea_random_subgroup_point(params(), rng);
-  EXPECT_EQ(tate_pairing(params(), P, Q), tate_pairing(params(), Q, P));
+  EXPECT_EQ(tate_pairing_affine(params(), P, Q),
+            tate_pairing_affine(params(), Q, P));
 }
 
 TEST(TateTest, InfinityMapsToOne) {
   SecureRandom rng(6);
   const EcPoint P = typea_random_subgroup_point(params(), rng);
   EXPECT_TRUE(
-      fp2_is_one(tate_pairing(params(), P, EcPoint::at_infinity())));
+      fp2_is_one(tate_pairing_affine(params(), P, EcPoint::at_infinity())));
   EXPECT_TRUE(
-      fp2_is_one(tate_pairing(params(), EcPoint::at_infinity(), P)));
+      fp2_is_one(tate_pairing_affine(params(), EcPoint::at_infinity(), P)));
 }
 
 TEST(TateTest, MultiplicativeHomomorphism) {
@@ -85,9 +88,9 @@ TEST(TateTest, MultiplicativeHomomorphism) {
   const EcPoint P1 = typea_random_subgroup_point(params(), rng);
   const EcPoint P2 = typea_random_subgroup_point(params(), rng);
   const EcPoint Q = typea_random_subgroup_point(params(), rng);
-  const Fp2 lhs = tate_pairing(params(), ec_add(P1, P2, params().p), Q);
-  const Fp2 rhs = fp2_mul(tate_pairing(params(), P1, Q),
-                          tate_pairing(params(), P2, Q), params().p);
+  const Fp2 lhs = tate_pairing_affine(params(), ec_add(P1, P2, params().p), Q);
+  const Fp2 rhs = fp2_mul(tate_pairing_affine(params(), P1, Q),
+                          tate_pairing_affine(params(), P2, Q), params().p);
   EXPECT_EQ(lhs, rhs);
 }
 
@@ -95,19 +98,20 @@ TEST(TateTest, RejectsOffCurveInput) {
   SecureRandom rng(8);
   EcPoint bad = typea_random_subgroup_point(params(), rng);
   bad.x = fp_add(bad.x, Bigint(1), params().p);
-  EXPECT_THROW(tate_pairing(params(), bad, params().g),
+  EXPECT_THROW(tate_pairing_affine(params(), bad, params().g),
                std::invalid_argument);
 }
 
 TEST(TateTest, ProjectiveMatchesAffineBitExact) {
-  // The Jacobian Miller loop scales every line value by a factor in F_p*;
-  // the final exponentiation must kill all of them, leaving the output
-  // bit-for-bit equal to the affine loop's.
+  // The engine's Jacobian Miller loop scales every line value by a factor
+  // in F_p*; the final exponentiation must kill all of them, leaving the
+  // output bit-for-bit equal to the affine loop's.
+  const PairingEngine engine(params());
   SecureRandom rng(10);
   for (int i = 0; i < 8; ++i) {
     const EcPoint P = typea_random_subgroup_point(params(), rng);
     const EcPoint Q = typea_random_subgroup_point(params(), rng);
-    const Fp2 proj = tate_pairing(params(), P, Q);
+    const Fp2 proj = engine.pair(P, Q);
     const Fp2 aff = tate_pairing_affine(params(), P, Q);
     EXPECT_EQ(fp2_serialize(proj, params().p),
               fp2_serialize(aff, params().p));
@@ -116,8 +120,7 @@ TEST(TateTest, ProjectiveMatchesAffineBitExact) {
   // the addition step at the loop's tail.
   for (const std::int64_t k : {1LL, 2LL, 3LL, 7LL}) {
     const EcPoint P = ec_mul(params().g, Bigint(k), params().p);
-    EXPECT_EQ(fp2_serialize(tate_pairing(params(), P, params().g),
-                            params().p),
+    EXPECT_EQ(fp2_serialize(engine.pair(P, params().g), params().p),
               fp2_serialize(tate_pairing_affine(params(), P, params().g),
                             params().p));
   }
@@ -127,10 +130,11 @@ TEST(TateTest, ProjectiveLoopPerformsExactlyOneInversion) {
   SecureRandom rng(11);
   const EcPoint P = typea_random_subgroup_point(params(), rng);
   const EcPoint Q = typea_random_subgroup_point(params(), rng);
+  const PairingEngine engine(params());
   // Warm up so lazily-built fixtures don't pollute the counter.
-  (void)tate_pairing(params(), P, Q);
+  (void)engine.pair(P, Q);
   const std::uint64_t before = fp_inv_calls();
-  (void)tate_pairing(params(), P, Q);
+  (void)engine.pair(P, Q);
   // Zero inversions per Miller step: the only one is the fp2_inv inside
   // the final exponentiation.
   EXPECT_EQ(fp_inv_calls() - before, 1u);
@@ -145,8 +149,8 @@ TEST(TateTest, DistinctPointsDistinctValues) {
   SecureRandom rng(9);
   const EcPoint P = ec_mul(params().g, Bigint(2), params().p);
   const EcPoint Q = ec_mul(params().g, Bigint(3), params().p);
-  EXPECT_FALSE(tate_pairing(params(), P, params().g) ==
-               tate_pairing(params(), Q, params().g));
+  EXPECT_FALSE(tate_pairing_affine(params(), P, params().g) ==
+               tate_pairing_affine(params(), Q, params().g));
 }
 
 }  // namespace

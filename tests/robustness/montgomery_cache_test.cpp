@@ -1,15 +1,15 @@
 // Concurrency regression tests for the per-modulus Montgomery context
-// cache: many ThreadPool workers hammering modexp with a mix of moduli
-// must (a) never corrupt the cache and (b) always produce the same values
-// as the uncached reference ladder.
+// cache (fp_ctx): many ThreadPool workers hammering modexp with a mix of
+// moduli must (a) never corrupt the cache and (b) always produce the same
+// values as the uncached reference ladder.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <future>
 #include <vector>
 
+#include "bigint/limbs.h"
 #include "bigint/modarith.h"
-#include "bigint/montgomery.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -17,7 +17,7 @@ namespace ppms {
 namespace {
 
 TEST(MontgomeryCacheConcurrency, MixedModuliMatchUncachedReference) {
-  montgomery_cache_clear();
+  fp_ctx_cache_clear();
   SecureRandom rng(300);
   struct Case {
     Bigint base, exp, m, expected;
@@ -43,7 +43,7 @@ TEST(MontgomeryCacheConcurrency, MixedModuliMatchUncachedReference) {
             mismatches.fetch_add(1);
           }
           // Explicit-context path (shared_ptr handed across threads).
-          const auto ctx = montgomery_ctx(c.m);
+          const auto ctx = fp_ctx(c.m);
           if (modexp(c.base, c.exp, *ctx) != c.expected) {
             mismatches.fetch_add(1);
           }
@@ -53,14 +53,14 @@ TEST(MontgomeryCacheConcurrency, MixedModuliMatchUncachedReference) {
     for (auto& f : futures) f.get();
   }
   EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_GE(montgomery_cache_size(), 1u);
-  montgomery_cache_clear();
+  EXPECT_GE(fp_ctx_cache_size(), 1u);
+  fp_ctx_cache_clear();
 }
 
 TEST(MontgomeryCacheConcurrency, EvictionUnderContention) {
   // More distinct moduli than the cache holds, from many threads at once:
   // results must stay correct while the cache churns through evictions.
-  montgomery_cache_clear();
+  fp_ctx_cache_clear();
   std::atomic<int> mismatches{0};
   {
     ThreadPool pool(8);
@@ -78,8 +78,8 @@ TEST(MontgomeryCacheConcurrency, EvictionUnderContention) {
     for (auto& f : futures) f.get();
   }
   EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_LE(montgomery_cache_size(), 64u);
-  montgomery_cache_clear();
+  EXPECT_LE(fp_ctx_cache_size(), 64u);
+  fp_ctx_cache_clear();
 }
 
 TEST(ThreadPoolShutdown, DrainsQueuedTasksOnDestruction) {

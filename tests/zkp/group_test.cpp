@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bigint/modarith.h"
 #include "bigint/prime.h"
 
 namespace ppms {
@@ -124,6 +125,21 @@ TEST(GtGroupTest, RejectsNonMembers) {
   }
 }
 
+TEST(GtGroupTest, RejectsFieldTheEngineCannotServe) {
+  // An even p still passes TypeAParams::deserialize's r·h = p + 1 check
+  // (p = 10, r = 11, h = 1 here), but no Montgomery context exists for it:
+  // the group must refuse it rather than fall back to another code path.
+  TypeAParams even;
+  even.p = Bigint(10);
+  even.r = Bigint(11);
+  even.h = Bigint(1);
+  even.g = EcPoint::at_infinity();
+  const TypeAParams parsed = TypeAParams::deserialize(even.serialize());
+  EXPECT_EQ(parsed.p, Bigint(10));
+  EXPECT_THROW(GtGroup{parsed}, std::invalid_argument);
+  EXPECT_THROW(PairingEngine{parsed}, std::invalid_argument);
+}
+
 // Shamir double exponentiation must agree with the two-pows-and-an-op
 // definition in every group, including degenerate exponents.
 void check_pow2(const Group& g, const Bytes& b1, const Bytes& b2,
@@ -160,6 +176,37 @@ TEST(ZnGroupTest, PowGenMatchesGeneratorPow) {
   const ZnGroup copy = g;
   const Bigint e = Bigint::random_below(rng, g.order());
   EXPECT_EQ(copy.pow_gen(e), g.pow(g.generator(), e));
+}
+
+TEST(ZnGroupTest, OddLimbWidthModuliMatchBinaryLadder) {
+  // Moduli with an odd number of 32-bit limbs, which ran on a separate
+  // 32-bit Montgomery kernel until FpCtx became the only one. The group is
+  // the quadratic residues of a prime p, of order (p-1)/2.
+  SecureRandom rng(4242);
+  for (const std::size_t bits : {std::size_t{65}, std::size_t{71},
+                                 std::size_t{96}, std::size_t{160}}) {
+    const Bigint p = random_prime(rng, bits);
+    const Bigint q = (p - Bigint(1)) >> 1;
+    const Bigint x = Bigint::random_range(rng, Bigint(2), p - Bigint(1));
+    const Bigint g = (x * x).mod(p);
+    const ZnGroup G(p, q, g);
+    for (int i = 0; i < 4; ++i) {
+      const Bigint a = Bigint::random_range(rng, Bigint(1), p);
+      const Bigint b = Bigint::random_range(rng, Bigint(1), p);
+      const Bigint e1 = Bigint::random_bits(rng, bits + 8);
+      const Bigint e2 = Bigint::random_bits(rng, bits);
+      const Bigint a_e1 = modexp_binary(a, e1.mod(q), p);
+      EXPECT_EQ(G.decode(G.pow(G.encode(a), e1)), a_e1) << bits;
+      EXPECT_EQ(G.decode(G.pow2(G.encode(a), e1, G.encode(b), e2)),
+                (a_e1 * modexp_binary(b, e2.mod(q), p)).mod(p))
+          << bits;
+      EXPECT_EQ(G.decode(G.pow_gen(e1)), modexp_binary(g, e1.mod(q), p))
+          << bits;
+      EXPECT_EQ(G.contains(G.encode(a)), modexp_binary(a, q, p).is_one())
+          << bits;
+    }
+    EXPECT_TRUE(G.contains(G.encode(g)));
+  }
 }
 
 TEST(ZnGroupTest, Pow2MatchesTwoPows) {
