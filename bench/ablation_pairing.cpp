@@ -13,6 +13,10 @@
 //   * one 64-deposit settle: per-deposit verification loops (naive
 //     independent pairings, then the product/precomp path) vs. the bank's
 //     folded verify_batch.
+//   * one final exponentiation at the benchmark's 512-bit field (h of
+//     455 bits): square-and-multiply in F_p² on the flat core (the engine's
+//     former chain) vs. the batched Lucas ladder at K = 1, 3, 23 outputs
+//     per call, reported per output.
 // Run with --benchmark_out=BENCH_ablation_pairing.json to regenerate the
 // committed artifact.
 #include <benchmark/benchmark.h>
@@ -21,6 +25,7 @@
 #include <memory>
 #include <vector>
 
+#include "bigint/limbs.h"
 #include "core/params.h"
 #include "dec/session.h"
 #include "pairing/pipeline.h"
@@ -142,6 +147,99 @@ void BM_PairPrecomp(benchmark::State& state) {
 BENCHMARK(BM_PairPrecomp)
     ->Unit(benchmark::kMicrosecond)
     ->Name("A9/pair/precomp");
+
+// --- one final exponentiation ---------------------------------------------
+
+struct FinalExpFixture {
+  TypeAParams params;
+  std::unique_ptr<PairingEngine> engine;
+  std::vector<Fp2> miller;  // 23 raw Miller values
+  std::vector<Fp2> expect;  // their final exponentiations (pow oracle)
+};
+
+const FinalExpFixture& finalexp_fx() {
+  static const FinalExpFixture f = [] {
+    SecureRandom rng(930);
+    FinalExpFixture out;
+    out.params = typea_generate(rng, 57, 512);
+    out.engine = std::make_unique<PairingEngine>(out.params);
+    const PairingPrecomp pre = out.engine->precompute(out.params.g);
+    std::vector<std::vector<PairingTerm>> products;
+    for (int i = 0; i < 23; ++i) {
+      products.push_back({PairingTerm{
+          .pre = &pre, .Q = ec_mul(out.params.g, Bigint(i + 2), out.params.p)}});
+    }
+    out.miller = out.engine->miller_values(products);
+    const Bigint& p = out.params.p;
+    for (const Fp2& m : out.miller) {
+      out.expect.push_back(
+          fp2_pow(fp2_mul(fp2_conj(m, p), fp2_inv(m, p), p), out.params.h, p));
+    }
+    return out;
+  }();
+  return f;
+}
+
+// Seconds per output, shown next to the per-call time.
+void per_output(benchmark::State& state, std::size_t k) {
+  state.counters["per_output"] = benchmark::Counter(
+      static_cast<double>(k) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+// The engine's former final exponentiation, one output per call: one
+// instrumented inversion, conj(f)·f⁻¹, then square-and-multiply by h with
+// flat-core F_p² arithmetic.
+void BM_FinalExpSquareMultiply(benchmark::State& state) {
+  const FinalExpFixture& f = finalexp_fx();
+  const std::shared_ptr<const FpCtx> F = fp_ctx(f.params.p);
+  const Fp2& m = f.miller.front();
+  for (auto _ : state) {
+    const FpElem x = F->to_mont(m.a);
+    const FpElem y = F->to_mont(m.b);
+    FpElem nrm, t;
+    F->sqr(nrm, x);
+    F->sqr(t, y);
+    F->add(nrm, nrm, t);
+    const FpElem ninv =
+        F->to_mont(fp_inv(F->from_mont(nrm), f.params.p));
+    Fp2Elem inv, conj{x, y}, z, out;
+    F->mul(inv.a, x, ninv);
+    F->neg(t, y);
+    F->mul(inv.b, t, ninv);
+    F->neg(conj.b, y);
+    fp2_mul(*F, z, conj, inv);
+    fp2_pow(*F, out, z, f.params.h);
+    const Fp2 got{F->from_mont(out.a), F->from_mont(out.b)};
+    if (got != f.expect.front()) state.SkipWithError("square-multiply wrong");
+  }
+  per_output(state, 1);
+}
+BENCHMARK(BM_FinalExpSquareMultiply)
+    ->Unit(benchmark::kMicrosecond)
+    ->Name("A9/finalexp/square_multiply");
+
+// The batched Lucas-ladder final exponentiation over K outputs per call.
+void BM_FinalExpLucas(benchmark::State& state) {
+  const FinalExpFixture& f = finalexp_fx();
+  const auto k = static_cast<std::size_t>(state.range(0));
+  const std::vector<Fp2> in(f.miller.begin(),
+                            f.miller.begin() + static_cast<std::ptrdiff_t>(k));
+  for (auto _ : state) {
+    const std::vector<Fp2> out = f.engine->final_exp(in);
+    if (!std::equal(out.begin(), out.end(), f.expect.begin())) {
+      state.SkipWithError("lucas final exponentiation wrong");
+    }
+  }
+  per_output(state, k);
+}
+BENCHMARK(BM_FinalExpLucas)
+    ->Unit(benchmark::kMicrosecond)
+    ->ArgName("K")
+    ->Arg(1)
+    ->Arg(3)
+    ->Arg(23)
+    ->Name("A9/finalexp/lucas");
 
 // --- one CL verification --------------------------------------------------
 

@@ -421,11 +421,6 @@ void fp2_sqr(const FpCtx& F, Fp2Elem& r, const Fp2Elem& x) {
   F.add(r.b, t2, t2);
 }
 
-void fp2_conj(const FpCtx& F, Fp2Elem& r, const Fp2Elem& x) {
-  r.a = x.a;
-  F.neg(r.b, x.b);
-}
-
 void fp2_pow(const FpCtx& F, Fp2Elem& r, const Fp2Elem& x, const Bigint& e) {
   Fp2Elem acc{F.one(), F.zero()};
   for (std::size_t i = e.bit_length(); i-- > 0;) {

@@ -297,11 +297,10 @@ std::size_t fp_ctx_cache_size();
 void fp_ctx_cache_clear();
 
 // F_p² helpers over Fp2Elem. Same 3-multiplication Karatsuba shapes as the
-// fp2.h reference implementations; outputs may alias inputs. Inversion
-// lives with the pairing engine (it needs the instrumented fp_inv).
+// fp2.h reference implementations; outputs may alias inputs. The pairing's
+// final exponentiation (and its one inversion) lives with the engine.
 void fp2_mul(const FpCtx& F, Fp2Elem& r, const Fp2Elem& x, const Fp2Elem& y);
 void fp2_sqr(const FpCtx& F, Fp2Elem& r, const Fp2Elem& x);
-void fp2_conj(const FpCtx& F, Fp2Elem& r, const Fp2Elem& x);
 
 /// x^e for e >= 0 by square-and-multiply (MSB first), all in-domain.
 void fp2_pow(const FpCtx& F, Fp2Elem& r, const Fp2Elem& x, const Bigint& e);

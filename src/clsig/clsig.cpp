@@ -144,6 +144,11 @@ ClSignature cl_randomize(const TypeAParams& params, const ClSignature& sig,
                      ec_mul(sig.c, rho, params.p)};
 }
 
+Bigint batch_scalar(SecureRandom& rng, const Bigint& r) {
+  const Bigint cap = Bigint::two_pow(64);
+  return Bigint::random_range(rng, Bigint(1), r < cap ? r : cap);
+}
+
 std::vector<bool> cl_verify_batch(const TypeAParams& params,
                                   const ClPublicKey& pk,
                                   const std::vector<ClBatchItem>& items,
@@ -188,14 +193,12 @@ std::vector<bool> cl_verify_batch(const TypeAParams& params,
       return fallback();  // malformed member: identify it per-signature
     }
     // Independent scalars per equation: a shared δ would let an adversary
-    // cancel an error in one equation against the other. 64-bit scalars
-    // suffice (GT has prime order r > 2^64, so a wrong product survives
-    // with probability at most 2^-64) and halve the per-group F_p²
-    // exponentiations inside the product.
-    const Bigint d1 =
-        Bigint::random_range(rng, Bigint(1), Bigint::two_pow(64));
-    const Bigint d2 =
-        Bigint::random_range(rng, Bigint(1), Bigint::two_pow(64));
+    // cancel an error in one equation against the other. Scalars below
+    // min(r, 2^64) keep a wrong product's survival chance at
+    // 1/(min(r, 2^64) − 1) and cost at most 64-bit F_p² exponentiations
+    // inside the product.
+    const Bigint d1 = batch_scalar(rng, params.r);
+    const Bigint d2 = batch_scalar(rng, params.r);
     const Bigint mr = item.m.mod(params.r);
     terms.push_back(PairingTerm{.pre = &pre_y, .Q = sig.a, .exp = d1});
     terms.push_back(

@@ -72,14 +72,22 @@ struct ClBatchItem {
   ClSignature sig;
 };
 
+/// One small-exponent batch-verification scalar, uniform in
+/// [1, min(r, 2^64)): never ≡ 0 mod the prime group order r, so no
+/// member can drop out of the batched product, and a batch holding a
+/// false equation passes with probability at most 1/(min(r, 2^64) − 1).
+/// (Every DEC market has a 57-bit r — the first Cunningham-chain prime —
+/// so there the bound is 1/(r − 1), not 2^-64.)
+Bigint batch_scalar(SecureRandom& rng, const Bigint& r);
+
 /// Randomized small-exponent batch verification (counted as one Dec per
 /// item, like the per-signature path). Folds all 2·N verification
 /// equations into a single product of pairings
 ///     ∏_j [ê(Y,a_j)·ê(g,b_j)⁻¹]^{δ_j} ·
 ///          [ê(X,a_j)·ê(X,b_j)^{m_j}·ê(g,c_j)⁻¹]^{δ'_j}  ==  1
-/// with independent per-equation 64-bit scalars δ, δ' drawn from the
+/// with independent per-equation scalars δ, δ' from batch_scalar on the
 /// verifier's own stream — a forged batch passes with probability at
-/// most 2^-64. On reject it falls back to per-signature
+/// most 1/(min(r, 2^64) − 1). On reject it falls back to per-signature
 /// verification, so the returned flags always match cl_verify exactly;
 /// the fast path only ever accelerates the all-valid case.
 std::vector<bool> cl_verify_batch(const TypeAParams& params,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <future>
 
+#include "dec/statement.h"
 #include "util/thread_pool.h"
 
 namespace ppms {
@@ -200,54 +201,54 @@ std::vector<bool> DecBank::verify_batch(
     const std::vector<SpendBundle>& spends, ThreadPool* pool) const {
   const std::size_t total = hiding.size() + spends.size();
 
-  // All certificate pairing equations of the tick in one randomized
-  // product of pairings (one combined Miller pass, one final
-  // exponentiation — the deposit path's former pairing bill).
+  // One engine call for the tick: the randomized product of every
+  // certificate pairing equation leads, and every member's GT statement
+  // (V, W) rides along — one combined Miller pass and one batched final
+  // exponentiation for the whole tick's pairing bill.
   std::vector<const ClSignature*> certs;
   certs.reserve(total);
   for (const RootHidingSpend& spend : hiding) certs.push_back(&spend.cert);
   for (const SpendBundle& bundle : spends) certs.push_back(&bundle.cert);
-  std::vector<bool> cert_ok;
+  CertBatch cb;
   {
     std::lock_guard lock(batch_rng_mu_);
-    cert_ok = verify_cert_equation_batch(params_, keys_.pk, certs, batch_rng_);
+    cb = verify_certs_with_statements(params_, keys_.pk, certs, batch_rng_);
   }
+  const auto stmt = [&cb](std::size_t i) {
+    return cb.statements[i] ? &*cb.statements[i] : nullptr;
+  };
 
   // The t-dependent remainder of every spend still runs (even for
   // cert-rejected members) so the batch's op counts and timing stay in
   // line with the per-deposit path on honest traffic.
+  const auto rest_of = [&](std::size_t i) {
+    return i < hiding.size()
+               ? verify_root_hiding_spend_with_statement(
+                     params_, keys_.pk, hiding[i], kRootHidingRounds, stmt(i))
+               : verify_spend_with_statement(params_, keys_.pk,
+                                             spends[i - hiding.size()],
+                                             stmt(i));
+  };
   std::vector<char> rest(total, 0);
   if (pool != nullptr && total > 1) {
     std::vector<std::future<bool>> futures;
     futures.reserve(total);
-    for (const RootHidingSpend& spend : hiding) {
-      futures.push_back(pool->submit([this, &spend] {
-        return verify_root_hiding_spend_assuming_cert(params_, keys_.pk,
-                                                      spend);
-      }));
+    for (std::size_t i = 0; i < total; ++i) {
+      futures.push_back(pool->submit([&rest_of, i] { return rest_of(i); }));
     }
-    for (const SpendBundle& bundle : spends) {
-      futures.push_back(pool->submit([this, &bundle] {
-        return verify_spend_assuming_cert(params_, keys_.pk, bundle);
-      }));
-    }
+    // Every task reads this frame's statements: let all finish before a
+    // get() can rethrow and unwind it.
+    for (const std::future<bool>& f : futures) f.wait();
     for (std::size_t i = 0; i < total; ++i) {
       rest[i] = futures[i].get() ? 1 : 0;
     }
   } else {
-    std::size_t i = 0;
-    for (const RootHidingSpend& spend : hiding) {
-      rest[i++] =
-          verify_root_hiding_spend_assuming_cert(params_, keys_.pk, spend);
-    }
-    for (const SpendBundle& bundle : spends) {
-      rest[i++] = verify_spend_assuming_cert(params_, keys_.pk, bundle);
-    }
+    for (std::size_t i = 0; i < total; ++i) rest[i] = rest_of(i) ? 1 : 0;
   }
 
   std::vector<bool> verified(total);
   for (std::size_t i = 0; i < total; ++i) {
-    verified[i] = cert_ok[i] && rest[i] != 0;
+    verified[i] = cb.cert_ok[i] && rest[i] != 0;
   }
   return verified;
 }

@@ -77,12 +77,13 @@ class DecBank {
       const std::vector<SpendBundle>& spends, ThreadPool* pool = nullptr);
 
   /// Verification half of deposit_batch, exposed for benchmarking and
-  /// reuse: the t-independent certificate pairing equations of the whole
-  /// tick fold into one randomized product of pairings
-  /// (verify_cert_equation_batch, with scalars from the bank's own
-  /// stream), while the per-spend remainder runs in parallel on `pool`
-  /// (inline when null). Flags are ordered hiding-first, like
-  /// deposit_batch results, and match the per-deposit verifiers exactly.
+  /// reuse: one pairing-engine call decides the t-independent certificate
+  /// equations of the whole tick as one randomized product (scalars from
+  /// the bank's own stream) and computes every member's GT statement
+  /// alongside (dec/statement.h); the per-spend remainder then runs on
+  /// those statements, in parallel on `pool` (inline when null). Flags are
+  /// ordered hiding-first, like deposit_batch results, and match the
+  /// per-deposit verifiers exactly.
   std::vector<bool> verify_batch(const std::vector<RootHidingSpend>& hiding,
                                  const std::vector<SpendBundle>& spends,
                                  ThreadPool* pool = nullptr) const;

@@ -5,6 +5,7 @@
 #include "bigint/modarith.h"
 #include "bigint/montgomery.h"
 #include "dec/session.h"
+#include "dec/statement.h"
 #include "util/counters.h"
 #include "obs/metrics.h"
 #include "util/serial.h"
@@ -13,33 +14,6 @@
 namespace ppms {
 
 namespace {
-
-// Certificate statement pieces, identical to the regular spend's —
-// including the byte-level V/W values (fixed-point-first pairings off the
-// session's Miller tables, W folded into one final exponentiation), so
-// the Fiat-Shamir transcript is unchanged.
-struct GtStatement {
-  Bytes V, W;
-};
-
-GtStatement gt_statement(const DecSession& session, const ClPkPrecomp* pre_pk,
-                         const ClPublicKey& bank_pk,
-                         const ClSignature& cert) {
-  const GtGroup& gt = session.gt();
-  GtStatement s;
-  if (pre_pk != nullptr) {
-    s.V = gt.pair(pre_pk->X, cert.b);
-    s.W = gt.pair_product({
-        PairingTerm{.pre = &session.pre_g(), .Q = cert.c},
-        PairingTerm{.pre = &pre_pk->X, .Q = cert.a, .invert = true},
-    });
-    return s;
-  }
-  const TypeAParams& pairing = gt.params();
-  s.V = gt.pair(bank_pk.X, cert.b);
-  s.W = gt.op(gt.pair(pairing.g, cert.c), gt.inv(gt.pair(bank_pk.X, cert.a)));
-  return s;
-}
 
 // Tower statement: Y = S_1 · g_1'^{-b_1} and outer base G = g_1'^2, both
 // elements of tower[1]; inner base h = g_0 with arithmetic mod o_2.
@@ -163,9 +137,7 @@ RootHidingSpend make_root_hiding_spend(const DecParams& params,
 
   const DecSession& session = params.session();
   const GtGroup& gt = session.gt();
-  const auto pre_pk = session.pk_tables(bank_pk);
-  const GtStatement gts =
-      gt_statement(session, pre_pk.get(), bank_pk, spend.cert);
+  const GtStatement gts = gt_statement(params, bank_pk, spend.cert);
   const TowerStatement ts =
       tower_statement(params, spend.path_serials.front(),
                       node.branch_bit(1));
@@ -197,10 +169,11 @@ RootHidingSpend make_root_hiding_spend(const DecParams& params,
 namespace {
 
 // Shared verification core; `check_cert` is false when the bank has
-// already decided the certificate pairing equation for a whole batch.
+// already decided the certificate pairing equation for a whole batch, and
+// a non-null `stmt` is the certificate statement it computed alongside.
 bool verify_hiding_core(const DecParams& params, const ClPublicKey& bank_pk,
                         const RootHidingSpend& spend, std::size_t rounds,
-                        bool check_cert) {
+                        bool check_cert, const GtStatement* stmt) {
   // Structure.
   if (spend.node.depth == 0 || spend.node.depth > params.L) return false;
   if (spend.node.depth < 64 &&
@@ -247,9 +220,8 @@ bool verify_hiding_core(const DecParams& params, const ClPublicKey& bank_pk,
   }
   const DecSession& session = params.session();
   const GtGroup& gt = session.gt();
-  const auto pre_pk = session.pk_tables(bank_pk);
   const GtStatement gts =
-      gt_statement(session, pre_pk.get(), bank_pk, spend.cert);
+      stmt != nullptr ? *stmt : gt_statement(params, bank_pk, spend.cert);
   if (gts.V == gt.identity()) return false;
 
   // Cut-and-choose rounds.
@@ -292,20 +264,21 @@ bool verify_root_hiding_spend(const DecParams& params,
   static obs::Histogram& obs_lat = obs::histogram("zkp.verify");
   obs::ScopedTimer obs_timer(obs_lat);
   return verify_hiding_core(params, bank_pk, spend, rounds,
-                            /*check_cert=*/true);
+                            /*check_cert=*/true, nullptr);
 }
 
-bool verify_root_hiding_spend_assuming_cert(const DecParams& params,
-                                            const ClPublicKey& bank_pk,
-                                            const RootHidingSpend& spend,
-                                            std::size_t rounds) {
+bool verify_root_hiding_spend_with_statement(const DecParams& params,
+                                             const ClPublicKey& bank_pk,
+                                             const RootHidingSpend& spend,
+                                             std::size_t rounds,
+                                             const GtStatement* stmt) {
   count_op(OpKind::Zkp);
   static obs::Counter& obs_zkp = obs::counter("zkp.verify");
   if (!op_counting_paused()) obs_zkp.add();
   static obs::Histogram& obs_lat = obs::histogram("zkp.verify");
   obs::ScopedTimer obs_timer(obs_lat);
   return verify_hiding_core(params, bank_pk, spend, rounds,
-                            /*check_cert=*/false);
+                            /*check_cert=*/false, stmt);
 }
 
 }  // namespace ppms

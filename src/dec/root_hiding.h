@@ -64,14 +64,4 @@ bool verify_root_hiding_spend(const DecParams& params,
                               const RootHidingSpend& spend,
                               std::size_t rounds = kRootHidingRounds);
 
-/// Everything verify_root_hiding_spend checks except the certificate
-/// pairing equation ê(a,Y) == ê(g,b) (see verify_cert_equation /
-/// verify_cert_equation_batch in dec/spend.h), so the bank can batch that
-/// half across a deposit tick.
-bool verify_root_hiding_spend_assuming_cert(const DecParams& params,
-                                            const ClPublicKey& bank_pk,
-                                            const RootHidingSpend& spend,
-                                            std::size_t rounds =
-                                                kRootHidingRounds);
-
 }  // namespace ppms

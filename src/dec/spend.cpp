@@ -1,45 +1,15 @@
 #include "dec/spend.h"
 
+#include <optional>
 #include <stdexcept>
 
 #include "dec/session.h"
+#include "dec/statement.h"
 #include "util/serial.h"
 
 namespace ppms {
 
 namespace {
-
-// GT-side statement pieces for a certificate (a, b, c):
-//   V = ê(X, b), W = ê(g, c) · ê(X, a)^{-1};  validity means W = V^t.
-// Both pairings are already oriented fixed-point-first, so with the
-// session's Miller tables they are table replays, and W folds into one
-// product with a single final exponentiation — the combined value is the
-// same field element as gt.op(gt.pair(g,c), gt.inv(gt.pair(X,a))), so V/W
-// bytes (and hence every Fiat-Shamir transcript) are unchanged.
-struct GtStatement {
-  Bytes V, W;
-};
-
-GtStatement gt_statement(const DecSession& session, const ClPkPrecomp* pre_pk,
-                         const ClPublicKey& bank_pk, const ClSignature& cert) {
-  const GtGroup& gt = session.gt();
-  GtStatement s;
-  if (pre_pk != nullptr) {
-    s.V = gt.pair(pre_pk->X, cert.b);
-    s.W = gt.pair_product({
-        PairingTerm{.pre = &session.pre_g(), .Q = cert.c},
-        PairingTerm{.pre = &pre_pk->X, .Q = cert.a, .invert = true},
-    });
-    return s;
-  }
-  // Off-curve bank key: keep the legacy path (and its throw behavior).
-  const TypeAParams& pairing = gt.params();
-  s.V = gt.pair(bank_pk.X, cert.b);
-  const Bytes gc = gt.pair(pairing.g, cert.c);
-  const Bytes xa = gt.pair(bank_pk.X, cert.a);
-  s.W = gt.op(gc, gt.inv(xa));
-  return s;
-}
 
 // Certificate point well-formedness shared by both halves of the split
 // verification.
@@ -62,6 +32,40 @@ bool cert_eq1_holds(const DecSession& session, const ClPkPrecomp* pre_pk,
            }) == gt.identity();
   }
   return gt.pair(cert.a, bank_pk.Y) == gt.pair(gt.params().g, cert.b);
+}
+
+// Terms of the randomized product ∏_j [ê(Y,a_j)·ê(g,b_j)⁻¹]^{δ_j}, or
+// nothing when a member is malformed (the caller then decides every
+// certificate alone, which identifies it).
+std::optional<std::vector<PairingTerm>> cert_batch_terms(
+    const DecParams& params, const DecSession& session,
+    const ClPkPrecomp& pre_pk, const std::vector<const ClSignature*>& certs,
+    SecureRandom& rng) {
+  std::vector<PairingTerm> terms;
+  terms.reserve(certs.size() * 2);
+  for (const ClSignature* cert : certs) {
+    if (cert == nullptr || !cert_points_ok(params, *cert)) {
+      return std::nullopt;
+    }
+    const Bigint d = batch_scalar(rng, params.pairing.r);
+    terms.push_back(PairingTerm{.pre = &pre_pk.Y, .Q = cert->a, .exp = d});
+    terms.push_back(PairingTerm{.pre = &session.pre_g(), .Q = cert->b,
+                                .exp = d, .invert = true});
+  }
+  return terms;
+}
+
+// verify_cert_equation for each member on its own (null entries false).
+std::vector<bool> certs_one_by_one(
+    const DecParams& params, const DecSession& session,
+    const ClPkPrecomp* pre_pk, const ClPublicKey& bank_pk,
+    const std::vector<const ClSignature*>& certs) {
+  std::vector<bool> ok(certs.size());
+  for (std::size_t j = 0; j < certs.size(); ++j) {
+    ok[j] = certs[j] != nullptr && cert_points_ok(params, *certs[j]) &&
+            cert_eq1_holds(session, pre_pk, bank_pk, *certs[j]);
+  }
+  return ok;
 }
 
 // Structure, serial membership and chain links (everything before the
@@ -100,14 +104,10 @@ bool spend_structure_ok(const DecParams& params, const SpendBundle& bundle) {
 }
 
 // Equality-proof half: ties the hidden t to both the certificate and S_0.
-bool spend_proof_ok(const DecParams& params, const ClPublicKey& bank_pk,
-                    const SpendBundle& bundle) {
-  const DecSession& session = params.session();
-  const GtGroup& gt = session.gt();
-  const auto pre_pk = session.pk_tables(bank_pk);
+bool spend_proof_ok(const DecParams& params, const SpendBundle& bundle,
+                    const GtStatement& stmt) {
+  const GtGroup& gt = params.session().gt();
   // A degenerate base V = 1 would void soundness; reject it.
-  const GtStatement stmt =
-      gt_statement(session, pre_pk.get(), bank_pk, bundle.cert);
   if (stmt.V == gt.identity()) return false;
   const ZnGroup& g1 = params.tower[0];
   // The statement halves are already known members: W is a pairing
@@ -122,6 +122,94 @@ bool spend_proof_ok(const DecParams& params, const ClPublicKey& bank_pk,
 }
 
 }  // namespace
+
+std::vector<GtStatement> gt_statements(
+    const DecSession& session, const ClPkPrecomp& pre_pk,
+    const std::vector<const ClSignature*>& certs,
+    const std::vector<PairingTerm>* lead, Bytes* lead_value) {
+  std::vector<std::vector<PairingTerm>> products;
+  products.reserve(2 * certs.size() + 1);
+  if (lead != nullptr) products.push_back(*lead);
+  for (const ClSignature* cert : certs) {
+    products.push_back({PairingTerm{.pre = &pre_pk.X, .Q = cert->b}});
+    products.push_back({
+        PairingTerm{.pre = &session.pre_g(), .Q = cert->c},
+        PairingTerm{.pre = &pre_pk.X, .Q = cert->a, .invert = true},
+    });
+  }
+  std::vector<Bytes> values = session.gt().pair_products(products);
+  std::size_t next = 0;
+  if (lead != nullptr) *lead_value = std::move(values[next++]);
+  std::vector<GtStatement> out(certs.size());
+  for (GtStatement& s : out) {
+    s.V = std::move(values[next++]);
+    s.W = std::move(values[next++]);
+  }
+  return out;
+}
+
+GtStatement gt_statement(const DecParams& params, const ClPublicKey& bank_pk,
+                         const ClSignature& cert) {
+  const DecSession& session = params.session();
+  if (const auto pre_pk = session.pk_tables(bank_pk)) {
+    return gt_statements(session, *pre_pk, {&cert})[0];
+  }
+  const GtGroup& gt = session.gt();
+  GtStatement s;
+  s.V = gt.pair(bank_pk.X, cert.b);
+  const Bytes gc = gt.pair(gt.params().g, cert.c);
+  const Bytes xa = gt.pair(bank_pk.X, cert.a);
+  s.W = gt.op(gc, gt.inv(xa));
+  return s;
+}
+
+CertBatch verify_certs_with_statements(
+    const DecParams& params, const ClPublicKey& bank_pk,
+    const std::vector<const ClSignature*>& certs, SecureRandom& rng) {
+  CertBatch out;
+  out.statements.resize(certs.size());
+  if (certs.empty()) return out;
+  const DecSession& session = params.session();
+  const auto pre_pk = session.pk_tables(bank_pk);
+  if (pre_pk == nullptr) {  // off-curve bank key
+    out.cert_ok = certs_one_by_one(params, session, nullptr, bank_pk, certs);
+    return out;
+  }
+  const auto terms = cert_batch_terms(params, session, *pre_pk, certs, rng);
+  std::vector<const ClSignature*> formed;
+  std::vector<std::size_t> slot;
+  for (std::size_t j = 0; j < certs.size(); ++j) {
+    if (certs[j] != nullptr && cert_points_ok(params, *certs[j])) {
+      formed.push_back(certs[j]);
+      slot.push_back(j);
+    }
+  }
+  Bytes product;
+  std::vector<GtStatement> stmts =
+      gt_statements(session, *pre_pk, formed,
+                    terms ? &*terms : nullptr, &product);
+  for (std::size_t i = 0; i < slot.size(); ++i) {
+    out.statements[slot[i]] = std::move(stmts[i]);
+  }
+  if (terms && product == session.gt().identity()) {
+    out.cert_ok.assign(certs.size(), true);
+  } else {
+    out.cert_ok =
+        certs_one_by_one(params, session, pre_pk.get(), bank_pk, certs);
+  }
+  return out;
+}
+
+bool verify_spend_with_statement(const DecParams& params,
+                                 const ClPublicKey& bank_pk,
+                                 const SpendBundle& bundle,
+                                 const GtStatement* stmt) {
+  if (!spend_structure_ok(params, bundle)) return false;
+  return spend_proof_ok(params, bundle,
+                        stmt != nullptr
+                            ? *stmt
+                            : gt_statement(params, bank_pk, bundle.cert));
+}
 
 Bytes SpendBundle::serialize(const DecParams& params) const {
   Writer w;
@@ -173,11 +261,8 @@ SpendBundle make_spend(const DecParams& params, const ClPublicKey& bank_pk,
   bundle.cert = cl_randomize(params.pairing, cert, rng);
   bundle.context = context;
 
-  const DecSession& session = params.session();
-  const GtGroup& gt = session.gt();
-  const auto pre_pk = session.pk_tables(bank_pk);
-  const GtStatement stmt =
-      gt_statement(session, pre_pk.get(), bank_pk, bundle.cert);
+  const GtGroup& gt = params.session().gt();
+  const GtStatement stmt = gt_statement(params, bank_pk, bundle.cert);
   const ZnGroup& g1 = params.tower[0];
   bundle.proof = equality_prove(
       gt, stmt.V, stmt.W, g1, g1.generator(),
@@ -196,7 +281,8 @@ bool verify_spend(const DecParams& params, const ClPublicKey& bank_pk,
   if (!cert_eq1_holds(session, pre_pk.get(), bank_pk, bundle.cert)) {
     return false;
   }
-  return spend_proof_ok(params, bank_pk, bundle);
+  return spend_proof_ok(params, bundle,
+                        gt_statement(params, bank_pk, bundle.cert));
 }
 
 bool verify_cert_equation(const DecParams& params, const ClPublicKey& bank_pk,
@@ -210,47 +296,22 @@ bool verify_cert_equation(const DecParams& params, const ClPublicKey& bank_pk,
 std::vector<bool> verify_cert_equation_batch(
     const DecParams& params, const ClPublicKey& bank_pk,
     const std::vector<const ClSignature*>& certs, SecureRandom& rng) {
-  std::vector<bool> ok(certs.size(), false);
-  if (certs.empty()) return ok;
+  if (certs.empty()) return {};
   const DecSession& session = params.session();
   const auto pre_pk = session.pk_tables(bank_pk);
-
-  const auto fallback = [&] {
-    for (std::size_t j = 0; j < certs.size(); ++j) {
-      ok[j] = certs[j] != nullptr && cert_points_ok(params, *certs[j]) &&
-              cert_eq1_holds(session, pre_pk.get(), bank_pk, *certs[j]);
+  if (pre_pk != nullptr) {  // otherwise: off-curve bank key
+    const auto terms = cert_batch_terms(params, session, *pre_pk, certs, rng);
+    if (terms && session.gt().pair_product(*terms) == session.gt().identity()) {
+      return std::vector<bool>(certs.size(), true);
     }
-    return ok;
-  };
-  if (pre_pk == nullptr) return fallback();  // off-curve bank key
-
-  std::vector<PairingTerm> terms;
-  terms.reserve(certs.size() * 2);
-  for (const ClSignature* cert : certs) {
-    if (cert == nullptr || !cert_points_ok(params, *cert)) {
-      return fallback();  // malformed member: identify it per-certificate
-    }
-    // Small-exponent batching: 64-bit scalars keep the cheat probability
-    // at 2^-64 (GT has prime order r > 2^64) at half the F_p²
-    // exponentiation cost of full-width scalars.
-    const Bigint d =
-        Bigint::random_range(rng, Bigint(1), Bigint::two_pow(64));
-    terms.push_back(PairingTerm{.pre = &pre_pk->Y, .Q = cert->a, .exp = d});
-    terms.push_back(PairingTerm{.pre = &session.pre_g(), .Q = cert->b,
-                                .exp = d, .invert = true});
   }
-  const GtGroup& gt = session.gt();
-  if (gt.pair_product(terms) == gt.identity()) {
-    return std::vector<bool>(certs.size(), true);
-  }
-  return fallback();
+  return certs_one_by_one(params, session, pre_pk.get(), bank_pk, certs);
 }
 
 bool verify_spend_assuming_cert(const DecParams& params,
                                 const ClPublicKey& bank_pk,
                                 const SpendBundle& bundle) {
-  return spend_structure_ok(params, bundle) &&
-         spend_proof_ok(params, bank_pk, bundle);
+  return verify_spend_with_statement(params, bank_pk, bundle, nullptr);
 }
 
 }  // namespace ppms

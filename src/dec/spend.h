@@ -44,10 +44,11 @@ bool verify_cert_equation(const DecParams& params, const ClPublicKey& bank_pk,
 
 /// Randomized small-exponent batch form of verify_cert_equation: one
 /// product of pairings ∏_j [ê(Y,a_j)·ê(g,b_j)⁻¹]^{δ_j} == 1 with fresh
-/// δ_j ∈ [1, r) per certificate decides the whole batch (false-accept
-/// probability ≤ 1/(r-1)); on reject it falls back to per-certificate
-/// checks, so the returned flags always match verify_cert_equation.
-/// Null entries come back false.
+/// δ_j ∈ [1, min(r, 2^64)) per certificate (batch_scalar) decides the whole
+/// batch (false-accept probability ≤ 1/(min(r, 2^64) − 1), which is
+/// 1/(r − 1) for the 57-bit r of every DEC market); on reject it falls
+/// back to per-certificate checks, so the returned flags always match
+/// verify_cert_equation. Null entries come back false.
 std::vector<bool> verify_cert_equation_batch(
     const DecParams& params, const ClPublicKey& bank_pk,
     const std::vector<const ClSignature*>& certs, SecureRandom& rng);

@@ -83,6 +83,12 @@ EcPoint ec_deserialize(const Bytes& data, const Bigint& p) {
       Bytes(data.begin() + static_cast<std::ptrdiff_t>(width),
             data.end() - 1));
   pt.infinity = data.back() == 1;
+  // Infinity has exactly one encoding, all-zero coordinates: accepting
+  // junk under the flag would make every point-carrying message
+  // malleable.
+  if (pt.infinity && (!pt.x.is_zero() || !pt.y.is_zero())) {
+    throw std::invalid_argument("ec_deserialize: non-canonical infinity");
+  }
   if (!ec_on_curve(pt, p)) {
     throw std::invalid_argument("ec_deserialize: point not on curve");
   }

@@ -39,7 +39,10 @@ EcPoint ec_mul(const EcPoint& a, const Bigint& k, const Bigint& p);
 /// choice of root. Never returns infinity.
 EcPoint ec_random_point(SecureRandom& rng, const Bigint& p);
 
-/// Fixed-width serialization (x || y || infinity flag).
+/// Fixed-width serialization (x || y || infinity flag). ec_deserialize
+/// accepts only canonical encodings of on-curve points: the flag is 0 or
+/// 1, and infinity (flag 1) carries x = y = 0 (std::invalid_argument
+/// otherwise).
 Bytes ec_serialize(const EcPoint& pt, const Bigint& p);
 EcPoint ec_deserialize(const Bytes& data, const Bigint& p);
 

@@ -25,8 +25,9 @@ Bigint fp_mul(const Bigint& a, const Bigint& b, const Bigint& p);
 Bigint fp_inv(const Bigint& a, const Bigint& p);
 
 /// Process-wide count of fp_inv calls. Inversions dominate affine curve
-/// arithmetic, so tests use this to pin down the projective Miller loop's
-/// budget (exactly one, in the final exponentiation).
+/// arithmetic, so tests use this to pin down the pairing engine's budget
+/// (exactly one per engine call, shared by every output of the batched
+/// final exponentiation).
 std::uint64_t fp_inv_calls();
 
 /// -a mod p.

@@ -42,12 +42,6 @@ struct Line {
 
 Line unit_line(const FpCtx& F) { return {F.one(), F.zero(), F.zero()}; }
 
-FpElem load(const std::uint64_t* src, std::size_t n) {
-  FpElem e;
-  std::copy(src, src + n, e.v.begin());
-  return e;
-}
-
 // Doubling V ← 2V on y² = x³ + x, returning the tangent line at the old V
 // scaled by Z₃·Z² ∈ F_p* — a factor the (p-1) part of the final
 // exponentiation annihilates, which is what makes the step inversion-free:
@@ -137,36 +131,6 @@ Line add_step(const FpCtx& F, Jac& V, const FpElem& px, const FpElem& py) {
   return line;
 }
 
-// One instrumented fp_inv, everything else on FpElem: the pairing's only
-// field inversion.
-Fp2Elem f2_inv(const FpCtx& F, const Fp2Elem& x) {
-  FpElem aa, bb, nrm;
-  F.sqr(aa, x.a);
-  F.sqr(bb, x.b);
-  F.add(nrm, aa, bb);
-  const Bigint norm = F.from_mont(nrm);
-  if (norm.is_zero()) throw std::domain_error("pairing: zero element");
-  const FpElem ninv = F.to_mont(fp_inv(norm, F.modulus()));
-  Fp2Elem r;
-  F.mul(r.a, x.a, ninv);
-  FpElem nb;
-  F.neg(nb, x.b);
-  F.mul(r.b, nb, ninv);
-  return r;
-}
-
-// f^{(p²-1)/r} = (conj(f)·f^{-1})^h — Frobenius is conjugation in F_p[i].
-Fp2Elem final_exp(const FpCtx& F, const Bigint& h, const Fp2Elem& f) {
-  Fp2Elem conj;
-  fp2_conj(F, conj, f);
-  const Fp2Elem inv = f2_inv(F, f);
-  Fp2Elem base;
-  fp2_mul(F, base, conj, inv);
-  Fp2Elem out;
-  fp2_pow(F, out, base, h);
-  return out;
-}
-
 // Lane-batch collector for independent F_p² products: queues fp2_mul /
 // fp2_sqr / raw F_p mul ops, then flush() runs the linear pre-adds, pushes
 // every Montgomery product through FpCtx::mul_batch in one call (SIMD
@@ -195,9 +159,10 @@ class Fp2Batch {
     mul_.push_back(MulOp{&r, &x, &y});
   }
   void sqr(Fp2Elem& r, const Fp2Elem& x) { sqr_.push_back(SqrOp{&r, &x}); }
-  /// Raw F_p product r = a·b (Montgomery). r must be distinct scratch.
-  void fmul(FpElem& r, const FpElem& a, const FpElem& b) {
-    fp_.push_back(FpCtx::MulJob{&r, &a, &b});
+  /// Raw F_p product r = a·b (Montgomery) on limbs()-limb arrays. r must
+  /// be distinct scratch.
+  void fmul(limb::Limb* r, const limb::Limb* a, const limb::Limb* b) {
+    fp_.push_back(simd::MontJob{r, a, b});
   }
 
   // One chunk at a time: pre-adds into a compact stack scratch (stride =
@@ -258,15 +223,7 @@ class Fp2Batch {
         F_.add_raw(op.r->b.v.data(), s + 2 * n, s + 2 * n);
       }
     }
-    for (std::size_t base = 0; base < fp_.size(); base += 3 * kChunkOps) {
-      const std::size_t c = std::min(3 * kChunkOps, fp_.size() - base);
-      for (std::size_t i = 0; i < c; ++i) {
-        const FpCtx::MulJob& job = fp_[base + i];
-        raw[i] = simd::MontJob{job.r->v.data(), job.a->v.data(),
-                               job.b->v.data()};
-      }
-      F_.mul_batch_raw(raw, c);
-    }
+    F_.mul_batch_raw(fp_.data(), fp_.size());
     mul_.clear();
     sqr_.clear();
     fp_.clear();
@@ -293,8 +250,188 @@ class Fp2Batch {
   const FpCtx& F_;
   std::vector<MulOp> mul_;
   std::vector<SqrOp> sqr_;
-  std::vector<FpCtx::MulJob> fp_;
+  std::vector<simd::MontJob> fp_;
 };
+
+// Reduce every bucket to the product of its items, in place: balanced
+// trees, each level batched across all buckets, every product written
+// over its left operand (items are scratch the caller owns, and no item
+// sits in two pairs, so this meets Fp2Batch's aliasing rule). Leaves the
+// product in *bucket[0]. Products of reduced operands are canonical, so
+// the tree shape changes nothing bit-wise.
+void fold_buckets(Fp2Batch& batch,
+                  std::vector<std::vector<Fp2Elem*>>& buckets) {
+  bool more = true;
+  while (more) {
+    more = false;
+    for (auto& b : buckets) {
+      if (b.size() < 2) continue;
+      std::size_t out = 0;
+      std::size_t i = 0;
+      for (; i + 1 < b.size(); i += 2) {
+        batch.mul(*b[i], *b[i], *b[i + 1]);
+        b[out++] = b[i];
+      }
+      if (i < b.size()) b[out++] = b[i];
+      b.resize(out);
+      if (out > 1) more = true;
+    }
+    batch.flush();
+  }
+}
+
+std::vector<Fp2> leave_mont(const FpCtx& F, const std::vector<Fp2Elem>& v) {
+  std::vector<Fp2> out;
+  out.reserve(v.size());
+  for (const Fp2Elem& x : v) {
+    out.push_back(Fp2{F.from_mont(x.a), F.from_mont(x.b)});
+  }
+  return out;
+}
+
+// f ↦ f^{(p²-1)/r} = z^h with z = conj(f)/f (Frobenius is conjugation in
+// F_p[i]), for every f[k] in place and all of them in step.
+//
+// z has norm 1, so z⁻¹ = conj(z) and z^j is pinned by its trace
+// V_j = z^j + z^{-j} = 2·Re(z^j), which follows the Lucas ladder
+//     V_{2j} = V_j² - 2,   V_{2j+1} = V_j·V_{j+1} - V_1
+// — one F_p product and one square per bit of h, against an F_p² square
+// (and often a multiply) for square-and-multiply. For f = x + y·i with
+// N = x² + y²: Re z = (x² - y²)/N and Im z = -2xy/N, and z^{h+1} = z^h·z
+// gives Im z^h = (V_1·V_h - 2·V_{h+1}) / (4·Im z), so
+//     z^h = V_h/2 + i·(2·V_{h+1} - V_1·V_h)·N/(8xy).
+// Every ladder walks the same bits of h, so each bit is one mul_batch of
+// 2K jobs, and every 1/N and 1/(8xy) comes from one fp_inv of ∏ N·8xy
+// (Montgomery's trick). xy = 0 means z = ±1 (y = 0: f ∈ F_p and z = 1;
+// x = 0: z = -1), exact without a ladder. N = 0 only for f = 0 (-1 is a
+// non-residue), which has no inverse: std::domain_error.
+void final_exp_batch(const FpCtx& F, const Bigint& h,
+                     std::vector<Fp2Elem>& f) {
+  std::vector<std::size_t> gen;  // outputs that take the ladder
+  for (std::size_t k = 0; k < f.size(); ++k) {
+    const bool x0 = F.is_zero(f[k].a);
+    const bool y0 = F.is_zero(f[k].b);
+    if (x0 && y0) throw std::domain_error("pairing: zero element");
+    if (x0 || y0) {
+      FpElem re = F.one();
+      if (x0 && h.bit(0)) F.neg(re, re);  // (-1)^h
+      f[k] = Fp2Elem{re, F.zero()};
+    } else {
+      gen.push_back(k);
+    }
+  }
+  const std::size_t m = gen.size();
+  if (m == 0) return;
+
+  // Per-output state in compact limbs()-stride slots; every batched phase
+  // queues raw jobs and runs them as one mul_batch.
+  const std::size_t n = F.limbs();
+  enum Slot : std::size_t {
+    kXX, kYY, kXY, kNorm, kDen, kC, kNsq, kPre, kInvc, kV1, kNdiv,
+    kA, kB, kProd, kSq, kSlots
+  };
+  std::vector<limb::Limb> buf(kSlots * m * n);
+  const auto at = [&](Slot slot, std::size_t j) {
+    return buf.data() + (slot * m + j) * n;
+  };
+  std::vector<simd::MontJob> jobs;
+  jobs.reserve(2 * m);
+  const auto run = [&] {
+    F.mul_batch_raw(jobs.data(), jobs.size());
+    jobs.clear();
+  };
+  const auto mul1 = [&](limb::Limb* r, const limb::Limb* a,
+                        const limb::Limb* b) {
+    const simd::MontJob job{r, a, b};
+    F.mul_batch_raw(&job, 1);
+  };
+
+  for (std::size_t j = 0; j < m; ++j) {
+    const limb::Limb* x = f[gen[j]].a.v.data();
+    const limb::Limb* y = f[gen[j]].b.v.data();
+    jobs.push_back({at(kXX, j), x, x});
+    jobs.push_back({at(kYY, j), y, y});
+    jobs.push_back({at(kXY, j), x, y});
+  }
+  run();
+  for (std::size_t j = 0; j < m; ++j) {
+    F.add_raw(at(kNorm, j), at(kXX, j), at(kYY, j));
+    F.add_raw(at(kDen, j), at(kXY, j), at(kXY, j));
+    F.add_raw(at(kDen, j), at(kDen, j), at(kDen, j));
+    F.add_raw(at(kDen, j), at(kDen, j), at(kDen, j));  // 8xy
+    jobs.push_back({at(kC, j), at(kNorm, j), at(kDen, j)});
+    jobs.push_back({at(kNsq, j), at(kNorm, j), at(kNorm, j)});
+  }
+  run();
+
+  // Montgomery's trick: prefix products, one inversion, then peel.
+  std::copy(at(kC, 0), at(kC, 0) + n, at(kPre, 0));
+  for (std::size_t j = 1; j < m; ++j) {
+    mul1(at(kPre, j), at(kPre, j - 1), at(kC, j));
+  }
+  FpElem total;
+  std::copy(at(kPre, m - 1), at(kPre, m - 1) + n, total.v.begin());
+  FpElem inv = F.to_mont(fp_inv(F.from_mont(total), F.modulus()));
+  for (std::size_t j = m; j-- > 1;) {
+    mul1(at(kInvc, j), inv.v.data(), at(kPre, j - 1));
+    mul1(inv.v.data(), inv.v.data(), at(kC, j));
+  }
+  std::copy(inv.v.begin(), inv.v.begin() + static_cast<std::ptrdiff_t>(n),
+            at(kInvc, 0));
+
+  // 1/N = invc·8xy (into the spent xy slot), N/(8xy) = invc·N², and
+  // V_1 = 2(x² - y²)/N.
+  for (std::size_t j = 0; j < m; ++j) {
+    jobs.push_back({at(kXY, j), at(kInvc, j), at(kDen, j)});
+    jobs.push_back({at(kNdiv, j), at(kInvc, j), at(kNsq, j)});
+  }
+  run();
+  for (std::size_t j = 0; j < m; ++j) {
+    F.sub_raw(at(kXX, j), at(kXX, j), at(kYY, j));
+    F.add_raw(at(kXX, j), at(kXX, j), at(kXX, j));
+    jobs.push_back({at(kV1, j), at(kXX, j), at(kXY, j)});
+  }
+  run();
+
+  // Lockstep ladders from (V_0, V_1) = (2, V_1) to (V_h, V_{h+1}) in
+  // (A, B). Both bit cases share the product job; only the squared
+  // operand differs.
+  FpElem two;
+  F.dbl(two, F.one());
+  std::vector<simd::MontJob> jobs0(2 * m), jobs1(2 * m);
+  for (std::size_t j = 0; j < m; ++j) {
+    std::copy(two.v.begin(), two.v.begin() + static_cast<std::ptrdiff_t>(n),
+              at(kA, j));
+    std::copy(at(kV1, j), at(kV1, j) + n, at(kB, j));
+    jobs0[2 * j] = jobs1[2 * j] = {at(kProd, j), at(kA, j), at(kB, j)};
+    jobs0[2 * j + 1] = {at(kSq, j), at(kA, j), at(kA, j)};
+    jobs1[2 * j + 1] = {at(kSq, j), at(kB, j), at(kB, j)};
+  }
+  for (std::size_t i = h.bit_length(); i-- > 0;) {
+    const bool bit = h.bit(i);
+    F.mul_batch_raw((bit ? jobs1 : jobs0).data(), 2 * m);
+    for (std::size_t j = 0; j < m; ++j) {
+      limb::Limb* sq_to = at(bit ? kB : kA, j);
+      limb::Limb* prod_to = at(bit ? kA : kB, j);
+      F.sub_raw(sq_to, at(kSq, j), two.v.data());
+      F.sub_raw(prod_to, at(kProd, j), at(kV1, j));
+    }
+  }
+
+  // z^h = V_h/2 + i·(2·V_{h+1} - V_1·V_h)·N/(8xy).
+  const FpElem half = F.to_mont((F.modulus() + Bigint(1)) / Bigint(2));
+  for (std::size_t j = 0; j < m; ++j) {
+    jobs.push_back({f[gen[j]].a.v.data(), at(kA, j), half.v.data()});
+    jobs.push_back({at(kProd, j), at(kV1, j), at(kA, j)});
+  }
+  run();
+  for (std::size_t j = 0; j < m; ++j) {
+    F.add_raw(at(kSq, j), at(kB, j), at(kB, j));
+    F.sub_raw(at(kSq, j), at(kSq, j), at(kProd, j));
+    jobs.push_back({f[gen[j]].b.v.data(), at(kSq, j), at(kNdiv, j)});
+  }
+  run();
+}
 
 }  // namespace
 
@@ -318,7 +455,7 @@ PairingPrecomp PairingEngine::precompute(const EcPoint& P) const {
   pre.built_ = true;
   if (P.infinity) return pre;  // every pairing against it is 1
 
-  // The same doubling/addition steps the live loop in miller_product runs,
+  // The same doubling/addition steps the live loop in miller_loop runs,
   // recorded as line coefficients instead of evaluated.
   const FpCtx& F = *fp_;
   const std::size_t n = F.limbs();
@@ -343,161 +480,208 @@ PairingPrecomp PairingEngine::precompute(const EcPoint& P) const {
 Fp2 PairingEngine::pair(const EcPoint& P, const EcPoint& Q) const {
   static obs::Histogram& obs_lat = obs::histogram("crypto.pairing");
   obs::ScopedTimer obs_timer(obs_lat);
-  return miller_product({PairingTerm{nullptr, P, Q, Bigint(1), false}});
+  const std::vector<PairingTerm> one{
+      PairingTerm{nullptr, P, Q, Bigint(1), false}};
+  return evaluate(&one, 1)[0];
 }
 
 Fp2 PairingEngine::pair(const PairingPrecomp& pre, const EcPoint& Q) const {
   static obs::Histogram& obs_lat = obs::histogram("crypto.pairing");
   obs::ScopedTimer obs_timer(obs_lat);
-  return miller_product(
-      {PairingTerm{&pre, EcPoint::at_infinity(), Q, Bigint(1), false}});
+  const std::vector<PairingTerm> one{
+      PairingTerm{&pre, EcPoint::at_infinity(), Q, Bigint(1), false}};
+  return evaluate(&one, 1)[0];
 }
 
 Fp2 PairingEngine::pair_product(const std::vector<PairingTerm>& terms) const {
   static obs::Histogram& obs_lat = obs::histogram("crypto.pairing.product");
   obs::ScopedTimer obs_timer(obs_lat);
-  return miller_product(terms);
+  return evaluate(&terms, 1)[0];
 }
 
-Fp2 PairingEngine::miller_product(
-    const std::vector<PairingTerm>& terms) const {
+std::vector<Fp2> PairingEngine::pair_products(
+    const std::vector<std::vector<PairingTerm>>& products) const {
+  static obs::Histogram& obs_lat = obs::histogram("crypto.pairing.products");
+  obs::ScopedTimer obs_timer(obs_lat);
+  return evaluate(products.data(), products.size());
+}
+
+std::vector<Fp2> PairingEngine::miller_values(
+    const std::vector<std::vector<PairingTerm>>& products) const {
+  std::vector<Fp2Elem> f;
+  miller_loop(products.data(), products.size(), f);
+  return leave_mont(*fp_, f);
+}
+
+std::vector<Fp2> PairingEngine::final_exp(const std::vector<Fp2>& f) const {
+  const FpCtx& F = *fp_;
+  std::vector<Fp2Elem> v;
+  v.reserve(f.size());
+  for (const Fp2& x : f) v.push_back(Fp2Elem{F.to_mont(x.a), F.to_mont(x.b)});
+  final_exp_batch(F, params_.h, v);
+  return leave_mont(F, v);
+}
+
+std::vector<Fp2> PairingEngine::evaluate(
+    const std::vector<PairingTerm>* products, std::size_t count) const {
+  std::vector<Fp2Elem> f;
+  // A product with no non-trivial factor holds f = 1, which the final
+  // exponentiation maps to 1 without a ladder; only the others count.
+  counters().finalexp.add(miller_loop(products, count, f));
+  final_exp_batch(*fp_, params_.h, f);
+  return leave_mont(*fp_, f);
+}
+
+std::size_t PairingEngine::miller_loop(
+    const std::vector<PairingTerm>* products, std::size_t count,
+    std::vector<Fp2Elem>& f) const {
   PairingCounters& ctr = counters();
   const Bigint& p = params_.p;
   const FpCtx& F = *fp_;
   const std::size_t n = F.limbs();
-  // In-flight state of one non-trivial factor: its line source (table
-  // cursor or live Jacobian loop), the Montgomery form of φ(Q)'s
-  // coordinates, and which accumulator it feeds.
+  // In-flight state of one non-trivial factor: where its lines come from
+  // (a table cursor, or a live Jacobian loop in `lives`), whether it is
+  // inverted, and which accumulator it feeds. φ(Q)'s Montgomery
+  // coordinates sit in `q` (xq‖yq, n limbs each) — only the live loops
+  // carry full-width state, so a wide batch of table replays stays small.
   struct Active {
-    const PairingPrecomp* pre = nullptr;
-    std::size_t cursor = 0;  // lines replayed; coefficients at cursor·3n
-    Jac V{};
-    FpElem px, py, xq, yq;
+    const std::uint64_t* table = nullptr;  // next recorded line: c0‖c1‖c2
+    std::size_t live = 0;                  // index into lives (no table)
     bool conj = false;
     std::size_t group = 0;
   };
-  // Accumulator 0 collects unit-exponent factors; each distinct non-unit
-  // exponent e gets its own accumulator, raised to e after the loop.
-  // Factors sharing an exponent (the batch-verify shape, where one δ_j
+  struct Live {
+    Jac V;
+    FpElem px, py;
+  };
+  // One accumulator per (product, exponent) group, raised to its exponent
+  // after the loop (unit exponents skip the ladder). Factors sharing an
+  // exponent within a product (the batch-verify shape, where one δ_j
   // covers a whole verification equation) share squarings too.
   std::vector<Active> active;
-  std::vector<Fp2Elem> accs{Fp2Elem{F.one(), F.zero()}};
-  std::vector<Bigint> group_exps;  // exponent of accs[g] for g >= 1
-  std::map<Bytes, std::size_t> exp_groups;
+  std::vector<Live> lives;
+  std::vector<limb::Limb> q;
+  std::vector<Fp2Elem> accs;
+  std::vector<std::size_t> group_out;  // product of accs[g]
+  std::vector<Bigint> group_exps;      // exponent of accs[g]
+  std::map<std::pair<std::size_t, Bytes>, std::size_t> groups;
+  std::size_t live = 0;  // products with a non-trivial factor
 
-  for (const PairingTerm& term : terms) {
-    ctr.calls.add();
-    if (term.pre != nullptr && term.pre->empty()) {
-      throw std::invalid_argument("pairing: precomp table not built");
-    }
-    const EcPoint& P = term.pre != nullptr ? term.pre->point() : term.P;
-    if (term.pre == nullptr && !ec_on_curve(P, p)) {
-      throw std::invalid_argument("pairing: point not on curve");
-    }
-    if (!ec_on_curve(term.Q, p)) {
-      throw std::invalid_argument("pairing: point not on curve");
-    }
-    if (term.pre != nullptr && !P.infinity &&
-        term.pre->coeffs_.size() != 3 * n * miller_steps_) {
-      throw std::invalid_argument(
-          "pairing: precomp table built for other parameters");
-    }
-    const Bigint e = term.exp.mod(params_.r);
-    if (e.is_zero() || P.infinity || term.Q.infinity) continue;  // factor 1
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::size_t groups_before = accs.size();
+    for (const PairingTerm& term : products[k]) {
+      ctr.calls.add();
+      if (term.pre != nullptr && term.pre->empty()) {
+        throw std::invalid_argument("pairing: precomp table not built");
+      }
+      const EcPoint& P = term.pre != nullptr ? term.pre->point() : term.P;
+      if (term.pre == nullptr && !ec_on_curve(P, p)) {
+        throw std::invalid_argument("pairing: point not on curve");
+      }
+      if (!ec_on_curve(term.Q, p)) {
+        throw std::invalid_argument("pairing: point not on curve");
+      }
+      if (term.pre != nullptr && !P.infinity &&
+          term.pre->coeffs_.size() != 3 * n * miller_steps_) {
+        throw std::invalid_argument(
+            "pairing: precomp table built for other parameters");
+      }
+      const Bigint e = term.exp.mod(params_.r);
+      if (e.is_zero() || P.infinity || term.Q.infinity) continue;  // 1
 
-    Active a;
-    a.pre = term.pre;
-    a.conj = term.invert;
-    a.xq = F.to_mont(term.Q.x);
-    a.yq = F.to_mont(term.Q.y);
-    if (term.pre == nullptr) {
-      a.px = F.to_mont(P.x);
-      a.py = F.to_mont(P.y);
-      a.V = Jac{a.px, a.py, F.one()};
-    } else {
-      ctr.precomp_hits.add();
-    }
-    if (e.is_one()) {
-      a.group = 0;
-    } else {
+      Active a;
+      a.conj = term.invert;
+      for (const Bigint* c : {&term.Q.x, &term.Q.y}) {
+        const FpElem v = F.to_mont(*c);
+        q.insert(q.end(), v.v.begin(),
+                 v.v.begin() + static_cast<std::ptrdiff_t>(n));
+      }
+      if (term.pre == nullptr) {
+        Live l;
+        l.px = F.to_mont(P.x);
+        l.py = F.to_mont(P.y);
+        l.V = Jac{l.px, l.py, F.one()};
+        a.live = lives.size();
+        lives.push_back(l);
+      } else {
+        a.table = term.pre->coeffs_.data();
+        ctr.precomp_hits.add();
+      }
       const auto [it, fresh] =
-          exp_groups.try_emplace(e.to_bytes_be(), accs.size());
+          groups.try_emplace({k, e.to_bytes_be()}, accs.size());
       if (fresh) {
         accs.push_back(Fp2Elem{F.one(), F.zero()});
+        group_out.push_back(k);
         group_exps.push_back(e);
       }
       a.group = it->second;
+      ctr.miller.add();
+      active.push_back(a);
     }
-    ctr.miller.add();
-    active.push_back(a);
+    if (accs.size() > groups_before) ++live;
   }
 
-  if (active.empty()) return fp2_one();
+  f.assign(count, Fp2Elem{F.one(), F.zero()});
+  if (active.empty()) return 0;
 
   // The whole loop runs through one Fp2Batch so every independent
   // Montgomery product in a phase fills SIMD lanes: the |accs| shared
   // squarings and the 2·|active| line evaluations of a bit go out as one
   // batch, and the per-group absorb products fold as balanced trees
-  // batched across groups level by level. Products of reduced operands
-  // are canonical, so reassociating the per-group factor chains changes
-  // nothing bit-wise (see Fp2Batch).
+  // batched across groups level by level (see fold_buckets).
   Fp2Batch batch(F);
-  batch.reserve(active.size() + accs.size(), accs.size(),
-                2 * active.size());
-  std::vector<Line> lines(active.size());
-  std::vector<FpElem> tline(active.size());
+  batch.reserve(active.size(), accs.size(), 2 * active.size());
+  std::vector<const limb::Limb*> line(active.size());  // c0‖c1‖c2 now
+  std::vector<limb::Limb> tline(active.size() * n);
   std::vector<Fp2Elem> vline(active.size());
-  std::vector<Fp2Elem> foldbuf;
-  foldbuf.reserve(active.size() + accs.size());
-  std::vector<std::vector<const Fp2Elem*>> gitems(accs.size());
+  std::vector<std::vector<Fp2Elem*>> gitems(accs.size());
 
-  const auto next_recorded = [&](Active& a) {
-    const std::uint64_t* c = a.pre->coeffs_.data() + a.cursor * 3 * n;
-    ++a.cursor;
-    return Line{load(c, n), load(c + n, n), load(c + 2 * n, n)};
+  // Point every active at its next line: the table's next record, or the
+  // live loop's step (doubling, or addition when `add`) packed into its
+  // n-limb-stride slot of live_lines.
+  std::vector<limb::Limb> live_lines(lives.size() * 3 * n);
+  const auto next_lines = [&](bool add) {
+    for (std::size_t j = 0; j < active.size(); ++j) {
+      Active& a = active[j];
+      if (a.table != nullptr) {
+        line[j] = a.table;
+        a.table += 3 * n;
+        continue;
+      }
+      Live& l = lives[a.live];
+      const Line ln = add ? add_step(F, l.V, l.px, l.py) : dbl_step(F, l.V);
+      limb::Limb* dst = live_lines.data() + a.live * 3 * n;
+      for (const FpElem* c : {&ln.c0, &ln.c1, &ln.c2}) {
+        dst = std::copy(c->v.begin(),
+                        c->v.begin() + static_cast<std::ptrdiff_t>(n), dst);
+      }
+      line[j] = live_lines.data() + a.live * 3 * n;
+    }
   };
   // Evaluate every active's current line at φ(Q) in one flush (plus any
-  // fp2 ops already queued by the caller), leaving v_i in vline[i].
+  // fp2 ops already queued by the caller), leaving v_i in vline[i]:
+  // v = (c0 + c1·xq) + (c2·yq)·i, conjugated for an inverted factor.
   const auto eval_lines = [&]() {
     for (std::size_t i = 0; i < active.size(); ++i) {
-      batch.fmul(tline[i], lines[i].c1, active[i].xq);
-      batch.fmul(vline[i].b, lines[i].c2, active[i].yq);
+      const limb::Limb* xq = q.data() + 2 * i * n;
+      batch.fmul(tline.data() + i * n, line[i] + n, xq);
+      batch.fmul(vline[i].b.v.data(), line[i] + 2 * n, xq + n);
     }
     batch.flush();
     for (std::size_t i = 0; i < active.size(); ++i) {
-      F.add(vline[i].a, lines[i].c0, tline[i]);
+      F.add_raw(vline[i].a.v.data(), line[i], tline.data() + i * n);
       if (active[i].conj) F.neg(vline[i].b, vline[i].b);
     }
   };
-  // accs[g] *= Π v_i over the group's actives, as per-group balanced
-  // trees with each tree level batched across all groups.
+  // accs[g] *= Π v_i over the group's actives.
   const auto fold_groups = [&]() {
-    foldbuf.clear();
     for (std::size_t g = 0; g < gitems.size(); ++g) {
-      gitems[g].clear();
-      gitems[g].push_back(&accs[g]);
+      gitems[g].assign(1, &accs[g]);
     }
     for (std::size_t i = 0; i < active.size(); ++i) {
       gitems[active[i].group].push_back(&vline[i]);
     }
-    bool more = true;
-    while (more) {
-      more = false;
-      for (auto& items : gitems) {
-        if (items.size() < 2) continue;
-        std::size_t out = 0;
-        std::size_t i = 0;
-        for (; i + 1 < items.size(); i += 2) {
-          Fp2Elem& dst = foldbuf.emplace_back();
-          batch.mul(dst, *items[i], *items[i + 1]);
-          items[out++] = &dst;
-        }
-        if (i < items.size()) items[out++] = items[i];
-        items.resize(out);
-        if (out > 1) more = true;
-      }
-      batch.flush();
-    }
+    fold_buckets(batch, gitems);
     for (std::size_t g = 0; g < gitems.size(); ++g) {
       if (gitems[g][0] != &accs[g]) accs[g] = *gitems[g][0];
     }
@@ -506,65 +690,52 @@ Fp2 PairingEngine::miller_product(
   const Bigint& r = params_.r;
   for (std::size_t i = r.bit_length() - 1; i-- > 0;) {
     for (Fp2Elem& acc : accs) batch.sqr(acc, acc);
-    for (std::size_t j = 0; j < active.size(); ++j) {
-      Active& a = active[j];
-      lines[j] = a.pre != nullptr ? next_recorded(a) : dbl_step(F, a.V);
-    }
+    next_lines(false);
     eval_lines();  // flushes the squarings alongside the line products
     fold_groups();
     if (r.bit(i)) {
-      for (std::size_t j = 0; j < active.size(); ++j) {
-        Active& a = active[j];
-        lines[j] = a.pre != nullptr ? next_recorded(a)
-                                    : add_step(F, a.V, a.px, a.py);
-      }
+      next_lines(true);
       eval_lines();
       fold_groups();
     }
   }
 
-  // Group-exponent ladders, lockstep across groups: starting every
-  // ladder at one and walking down from the longest exponent is exactly
-  // fp2_pow's schedule (leading squarings of one are exact), so each
-  // pw[g] is bit-identical to a sequential fp2_pow.
-  Fp2Elem total = accs[0];
-  if (!group_exps.empty()) {
-    std::size_t maxb = 0;
-    for (const Bigint& e : group_exps) {
-      maxb = std::max(maxb, e.bit_length());
+  // Group-exponent ladders, lockstep across the non-unit groups: starting
+  // every ladder at one and walking down from the longest exponent is
+  // exactly fp2_pow's schedule (leading squarings of one are exact), so
+  // each pw[g] is bit-identical to a sequential fp2_pow.
+  std::vector<Fp2Elem> pw(accs.size(), Fp2Elem{F.one(), F.zero()});
+  std::size_t maxb = 0;
+  for (std::size_t g = 0; g < accs.size(); ++g) {
+    if (group_exps[g].is_one()) {
+      pw[g] = accs[g];
+    } else {
+      maxb = std::max(maxb, group_exps[g].bit_length());
     }
-    std::vector<Fp2Elem> pw(group_exps.size(), Fp2Elem{F.one(), F.zero()});
-    for (std::size_t i = maxb; i-- > 0;) {
-      for (Fp2Elem& w : pw) batch.sqr(w, w);
-      batch.flush();
-      for (std::size_t g = 0; g < pw.size(); ++g) {
-        if (group_exps[g].bit(i)) batch.mul(pw[g], pw[g], accs[g + 1]);
-      }
-      batch.flush();
-    }
-    // total = accs[0]·Π pw[g], one balanced batched tree.
-    std::vector<const Fp2Elem*> items;
-    items.reserve(pw.size() + 1);
-    items.push_back(&total);
-    for (const Fp2Elem& w : pw) items.push_back(&w);
-    foldbuf.clear();
-    while (items.size() > 1) {
-      std::size_t out = 0;
-      std::size_t i = 0;
-      for (; i + 1 < items.size(); i += 2) {
-        Fp2Elem& dst = foldbuf.emplace_back();
-        batch.mul(dst, *items[i], *items[i + 1]);
-        items[out++] = &dst;
-      }
-      if (i < items.size()) items[out++] = items[i];
-      items.resize(out);
-      batch.flush();
-    }
-    if (items[0] != &total) total = *items[0];
   }
-  ctr.finalexp.add();
-  const Fp2Elem e = final_exp(F, params_.h, total);
-  return Fp2{F.from_mont(e.a), F.from_mont(e.b)};
+  for (std::size_t i = maxb; i-- > 0;) {
+    for (std::size_t g = 0; g < pw.size(); ++g) {
+      if (!group_exps[g].is_one()) batch.sqr(pw[g], pw[g]);
+    }
+    batch.flush();
+    for (std::size_t g = 0; g < pw.size(); ++g) {
+      if (!group_exps[g].is_one() && group_exps[g].bit(i)) {
+        batch.mul(pw[g], pw[g], accs[g]);
+      }
+    }
+    batch.flush();
+  }
+
+  // f[k] = Π pw[g] over product k's groups, one batched tree per product.
+  std::vector<std::vector<Fp2Elem*>> outs(count);
+  for (std::size_t g = 0; g < pw.size(); ++g) {
+    outs[group_out[g]].push_back(&pw[g]);
+  }
+  fold_buckets(batch, outs);
+  for (std::size_t k = 0; k < count; ++k) {
+    if (!outs[k].empty()) f[k] = *outs[k][0];
+  }
+  return live;
 }
 
 Fp2 PairingEngine::gt_pow(const Fp2& x, const Bigint& e) const {

@@ -16,6 +16,12 @@
 //    product of k pairings needs only one of them (`pair_product`
 //    combines the Miller values first); an inverted factor costs nothing
 //    extra because FE(conj(f)) = FE(f)^{-1};
+//  * independent products share one pass (`pair_products`): their Miller
+//    loops interleave, and their final exponentiations run in step as
+//    Lucas ladders — z = conj(f)/f has norm 1, so z^h follows from the
+//    trace sequence V_j = z^j + z^{-j}, one F_p product and one square
+//    per bit of h, lane-batched across every output, after a single
+//    field inversion for the whole call (Montgomery's trick);
 //  * every F_p product runs on stack-resident FpElem residues in the
 //    Montgomery domain of the shared per-modulus FpCtx (bigint/limbs.h),
 //    entering once per pairing and leaving once at the end, with
@@ -39,6 +45,7 @@ namespace ppms {
 
 class FpCtx;
 class PairingEngine;
+struct Fp2Elem;
 
 /// Compiled Miller line table for a fixed first pairing argument. Immutable
 /// after construction (safe to share across threads); build one via
@@ -110,6 +117,28 @@ class PairingEngine {
   /// oracle pairings with fp2_pow / fp2_inv.
   Fp2 pair_product(const std::vector<PairingTerm>& terms) const;
 
+  /// One value per product, each bit-identical to pair_product of that
+  /// product alone, from one interleaved Miller pass over every product's
+  /// terms and one batched final exponentiation — one fp_inv for the whole
+  /// call however many products it holds. pair and pair_product are its
+  /// one-product case.
+  std::vector<Fp2> pair_products(
+      const std::vector<std::vector<PairingTerm>>& products) const;
+
+  /// The raw Miller value of each product (exponent groups applied, no
+  /// final exponentiation; 1 for a product with no non-trivial factor):
+  /// pair_products(x)[k] == final_exp(miller_values(x))[k]. For tests and
+  /// benches that look inside the pipeline.
+  std::vector<Fp2> miller_values(
+      const std::vector<std::vector<PairingTerm>>& products) const;
+
+  /// f ↦ f^{(p²-1)/r} = (conj(f)/f)^h for every element, in step, with one
+  /// fp_inv for the whole vector (none when every f is in F_p or i·F_p).
+  /// Throws std::domain_error if some f is zero. The same routine ends
+  /// every pairing entry point; called directly it is not counted in
+  /// crypto.pairing.finalexp, which counts pairing outputs.
+  std::vector<Fp2> final_exp(const std::vector<Fp2>& f) const;
+
   /// x^e in F_p² for e >= 0, in the Montgomery domain; bit-identical to
   /// fp2_pow. Backs GtGroup::pow and GtGroup::contains.
   Fp2 gt_pow(const Fp2& x, const Bigint& e) const;
@@ -120,10 +149,17 @@ class PairingEngine {
               const Bigint& e2) const;
 
  private:
-  /// The Miller loop behind pair and pair_product: interleaves every
-  /// non-trivial term, live or replayed, over one pass of r's bits, then
-  /// applies one final exponentiation.
-  Fp2 miller_product(const std::vector<PairingTerm>& terms) const;
+  /// The Miller loop behind every entry point: interleaves every
+  /// non-trivial term of `count` products, live or replayed, over one pass
+  /// of r's bits. Writes product k's Miller value (Montgomery form; 1 when
+  /// it has no non-trivial factor) to f[k] and returns how many products
+  /// had one.
+  std::size_t miller_loop(const std::vector<PairingTerm>* products,
+                          std::size_t count, std::vector<Fp2Elem>& f) const;
+
+  /// miller_loop, then one batched final exponentiation over all products.
+  std::vector<Fp2> evaluate(const std::vector<PairingTerm>* products,
+                            std::size_t count) const;
 
   TypeAParams params_;
   std::shared_ptr<const FpCtx> fp_;

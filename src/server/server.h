@@ -31,10 +31,10 @@
 //    verify_batch_max more without blocking, and verifies the whole
 //    accumulation through DecBank::verify_batch: the t-independent
 //    certificate equations of deposits from UNRELATED sessions fold into
-//    one randomized product of pairings (dec/spend.h,
-//    verify_cert_equation_batch), which is where the pairing bill of the
-//    deposit path amortizes across the whole market's traffic instead of
-//    one SP's tick.
+//    one randomized product of pairings, and every deposit's GT statement
+//    rides in the same pairing-engine call (dec/statement.h), which is
+//    where the pairing bill of the deposit path amortizes across the
+//    whole market's traffic instead of one SP's tick.
 //  * settle — deposits shard by idempotency key onto per-shard queues;
 //    each settle worker commits its stream through
 //    DecBank::settle_verified{,_hiding} (striped double-spend store) and

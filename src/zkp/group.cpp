@@ -232,6 +232,16 @@ Bytes GtGroup::pair_product(const std::vector<PairingTerm>& terms) const {
   return encode(engine_->pair_product(terms));
 }
 
+std::vector<Bytes> GtGroup::pair_products(
+    const std::vector<std::vector<PairingTerm>>& products) const {
+  std::vector<Bytes> out;
+  out.reserve(products.size());
+  for (const Fp2& v : engine_->pair_products(products)) {
+    out.push_back(encode(v));
+  }
+  return out;
+}
+
 Bytes GtGroup::identity() const { return encode(fp2_one()); }
 
 Bytes GtGroup::op(const Bytes& a, const Bytes& b) const {

@@ -162,6 +162,11 @@ class GtGroup final : public Group {
   /// ∏ ê(P_i, Q_i)^{±e_i} with a single final exponentiation.
   Bytes pair_product(const std::vector<PairingTerm>& terms) const;
 
+  /// One encoded value per product, from one PairingEngine::pair_products
+  /// call (one Miller pass, one batched final exponentiation).
+  std::vector<Bytes> pair_products(
+      const std::vector<std::vector<PairingTerm>>& products) const;
+
   const Bigint& order() const override { return params_.r; }
   Bytes identity() const override;
   Bytes op(const Bytes& a, const Bytes& b) const override;

@@ -113,6 +113,31 @@ TEST(ClSigTest, SerializationRoundTrips) {
   EXPECT_TRUE(cl_verify(fx().params, pk_copy, m, sig));
 }
 
+TEST(ClSigBatchTest, BatchScalarsNeverVanishModR) {
+  // δ ≡ 0 mod r would drop its member from the batched product, so the
+  // scalars are drawn from [1, min(r, 2^64)): below a small r they cover
+  // every non-zero residue and never hit zero; above 2^64 they stay
+  // 64-bit.
+  SecureRandom rng(19);
+  const Bigint small(5);
+  std::vector<int> seen(5, 0);
+  for (int i = 0; i < 400; ++i) {
+    const Bigint d = batch_scalar(rng, small);
+    ASSERT_FALSE(d.mod(small).is_zero());
+    ASSERT_TRUE(d < small);
+    ++seen[d.to_u64()];
+  }
+  for (int v = 1; v < 5; ++v) EXPECT_GT(seen[v], 0) << v;
+  const Bigint& r48 = fx().params.r;  // below 2^64, like every DEC market
+  const Bigint wide = Bigint::two_pow(64) + Bigint(13);
+  for (int i = 0; i < 200; ++i) {
+    const Bigint d = batch_scalar(rng, r48);
+    ASSERT_TRUE(!d.is_zero() && d < r48);
+    const Bigint w = batch_scalar(rng, wide);
+    ASSERT_TRUE(!w.is_zero() && w < Bigint::two_pow(64));
+  }
+}
+
 TEST(ClSigBatchTest, EmptyBatchVerifies) {
   SecureRandom rng(20);
   EXPECT_TRUE(cl_verify_batch(fx().params, fx().kp.pk, {}, rng).empty());

@@ -119,6 +119,26 @@ TEST(SpendTest, SerializationRoundTrip) {
   EXPECT_EQ(copy.path_serials, f.bundle.path_serials);
 }
 
+TEST(SpendTest, NonCanonicalInfinityInCertRejectedAtDecode) {
+  // A certificate point at infinity must carry zero coordinates; junk
+  // under the flag would give one spend many byte encodings.
+  const SpendFixture f = make_spend_fixture(195);
+  const EcPoint junk{Bigint(5), Bigint(7), true};
+  for (const bool in_b : {true, false}) {
+    SpendBundle tampered = f.bundle;
+    (in_b ? tampered.cert.b : tampered.cert.c) = junk;
+    EXPECT_THROW(SpendBundle::deserialize(dec_params(),
+                                          tampered.serialize(dec_params())),
+                 std::invalid_argument)
+        << (in_b ? "b" : "c");
+    // The canonical encoding of the same point still decodes.
+    (in_b ? tampered.cert.b : tampered.cert.c) = EcPoint::at_infinity();
+    const SpendBundle copy = SpendBundle::deserialize(
+        dec_params(), tampered.serialize(dec_params()));
+    EXPECT_TRUE((in_b ? copy.cert.b : copy.cert.c).infinity);
+  }
+}
+
 TEST(SpendTest, SpendsOfSameWalletAreCertUnlinkable) {
   // Two spends re-randomize the certificate independently.
   DecBank bank = make_bank(200);

@@ -108,6 +108,23 @@ TEST(CurveTest, DeserializeRejectsOffCurvePoint) {
   EXPECT_THROW(ec_deserialize(Bytes(5), params().p), std::invalid_argument);
 }
 
+TEST(CurveTest, DeserializeRejectsNonCanonicalInfinity) {
+  // Infinity round-trips only as its one canonical encoding (all-zero
+  // coordinates); the flag with any other coordinates is rejected, even
+  // when they name a curve point.
+  const Bigint& p = params().p;
+  const Bytes canonical = ec_serialize(EcPoint::at_infinity(), p);
+  EXPECT_TRUE(ec_deserialize(canonical, p).infinity);
+  SecureRandom rng(12);
+  const EcPoint a = ec_random_point(rng, p);
+  for (const EcPoint& junk :
+       {EcPoint{Bigint(1), Bigint(0), true}, EcPoint{Bigint(0), Bigint(1), true},
+        EcPoint{a.x, a.y, true}}) {
+    EXPECT_THROW(ec_deserialize(ec_serialize(junk, p), p),
+                 std::invalid_argument);
+  }
+}
+
 TEST(TypeAParamsTest, StructuralInvariants) {
   EXPECT_EQ(params().r * params().h, params().p + Bigint(1));
   EXPECT_EQ((params().p % Bigint(4)).to_u64(), 3u);

@@ -106,18 +106,32 @@ TEST(FlatPairingPath, GtPowsBitIdenticalAcrossModes) {
 }
 
 TEST(FlatPairingPath, InversionBudgetUnchanged) {
-  // The final exponentiation must keep the one-fp_inv-per-pairing budget
-  // the projective pipeline is built around.
+  // The batched final exponentiation shares one fp_inv across every
+  // output of an engine call: a single pairing, a product, and batches of
+  // K independent products all cost exactly one inversion.
   SecureRandom rng(9106);
   const EcPoint P = typea_random_subgroup_point(params(), rng);
   const EcPoint Q = typea_random_subgroup_point(params(), rng);
-  const std::uint64_t before = fp_inv_calls();
+  std::uint64_t before = fp_inv_calls();
   (void)engine().pair(P, Q);
   EXPECT_EQ(fp_inv_calls() - before, 1u);
+  before = fp_inv_calls();
   (void)engine().pair_product(
       {PairingTerm{nullptr, P, Q, Bigint(1), false},
        PairingTerm{nullptr, Q, P, Bigint(2), true}});
-  EXPECT_EQ(fp_inv_calls() - before, 2u);  // one more for the whole product
+  EXPECT_EQ(fp_inv_calls() - before, 1u);  // one for the whole product
+  for (const std::size_t K : {1, 3, 4, 23}) {
+    std::vector<std::vector<PairingTerm>> products;
+    for (std::size_t k = 0; k < K; ++k) {
+      products.push_back({PairingTerm{nullptr, P, Q,
+                                      Bigint(static_cast<std::uint64_t>(k + 1)),
+                                      k % 2 == 1}});
+    }
+    before = fp_inv_calls();
+    const std::vector<Fp2> out = engine().pair_products(products);
+    EXPECT_EQ(fp_inv_calls() - before, 1u) << "K=" << K;
+    ASSERT_EQ(out.size(), K);
+  }
 }
 
 // TSan target: one engine and one shared precomp table driven from many
