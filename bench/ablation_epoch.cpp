@@ -119,11 +119,12 @@ bool preverify(std::size_t coins) {
   if (coins <= verified_upto) return true;
   const SpendPool& p = pool();
   DecBank bank = fresh_bank();
-  const std::vector<RootHidingSpend> no_hiding;
-  const std::vector<SpendBundle> window(
+  const std::vector<DepositSpend> window(
       p.spends.begin(),
       p.spends.begin() + static_cast<std::ptrdiff_t>(coins));
-  const std::vector<bool> ok = bank.verify_batch(no_hiding, window);
+  std::vector<const DepositSpend*> members;
+  for (const DepositSpend& spend : window) members.push_back(&spend);
+  const std::vector<bool> ok = bank.verify_batch(members);
   for (bool b : ok) {
     if (!b) return false;
   }

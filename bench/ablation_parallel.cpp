@@ -91,7 +91,7 @@ void BM_ParallelDepositCommit(benchmark::State& state) {
     SecureRandom rng(seed_rng.next_u64());
     DecParams params = shared_batch().params;
     DecBank bank(params, rng);
-    std::vector<SpendBundle> spends;
+    std::vector<DepositSpend> spends;
     for (int w = 0; w < 8; ++w) {
       DecWallet wallet(params, rng);
       const Bytes ctx = bytes_of("a3");
@@ -99,7 +99,7 @@ void BM_ParallelDepositCommit(benchmark::State& state) {
           wallet.commitment(), wallet.prove_commitment(rng, ctx), ctx, rng);
       wallet.set_certificate(bank.public_key(), *cert);
       for (std::uint64_t leaf = 0; leaf < 8; ++leaf) {
-        spends.push_back(
+        spends.emplace_back(
             wallet.spend(NodeIndex{3, leaf}, bank.public_key(), rng, {}));
       }
     }
@@ -108,7 +108,7 @@ void BM_ParallelDepositCommit(benchmark::State& state) {
     ThreadPool pool(threads);
     std::atomic<int> accepted{0};
     std::vector<std::future<void>> futures;
-    for (const SpendBundle& spend : spends) {
+    for (const DepositSpend& spend : spends) {
       futures.push_back(pool.submit([&bank, &accepted, &spend] {
         if (bank.deposit(spend).accepted()) {
           accepted.fetch_add(1, std::memory_order_relaxed);

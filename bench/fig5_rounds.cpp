@@ -85,7 +85,7 @@ void BM_PpmsDecRoundsHot(benchmark::State& state) {
       while (done < rounds) {
         const auto node = wallet.allocate(1);
         if (!node) break;
-        const SpendBundle spend =
+        const DepositSpend spend =
             wallet.spend(*node, bank.public_key(), rng, ctx);
         if (!bank.deposit(spend).accepted()) {
           state.SkipWithError("deposit rejected");

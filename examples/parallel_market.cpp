@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   Stopwatch prep;
   struct Job {
     std::string aid;
-    SpendBundle spend;
+    DepositSpend spend;
   };
   std::vector<Job> jobs;
   for (std::size_t w = 0; w < wallets; ++w) {

@@ -466,36 +466,24 @@ void PpmsDecMarket::confirm_and_release_data(ParticipantSession& sp,
 }
 
 void PpmsDecMarket::deposit_one(SessionLink& link, const std::string& aid,
-                                bool hiding, const Bytes& coin_wire) {
+                                const DepositSpend& coin) {
   obs::Span span("ppmsdec.deposit.coin");
-  Writer msg;
-  msg.put_string(aid);
-  msg.put_bool(hiding);
-  msg.put_bytes(coin_wire);
+  const Bytes coin_wire = std::visit(
+      [this](const auto& c) { return c.serialize(params_); }, coin);
   // The coin's serialized bytes salt the idempotency key, so the dedup is
   // per coin as well as per message; the striped double-spend store backs
   // it up for replays across distinct sessions.
-  link_.call(link, sp_to_ma(), ma_to_sp(), msg.take(), coin_wire,
-             [this](const Bytes& wire) {
+  link_.call(link, sp_to_ma(), ma_to_sp(),
+             encode_deposit_request(
+                 aid, std::holds_alternative<RootHidingSpend>(coin),
+                 coin_wire),
+             coin_wire, [this](const Bytes& wire) {
                ScopedRole as_ma(Role::Admin);
-               Reader r(wire);
-               const std::string account = r.get_string();
-               const bool is_hiding = r.get_bool();
-               const Bytes body = r.get_bytes();
-               if (!r.exhausted()) {
-                 throw MarketError(MarketErrc::kMalformedMessage,
-                                   "deposit: trailing garbage");
-               }
-               SettleOutcome result;
-               if (is_hiding) {
-                 result = dec_bank_.deposit_hiding(
-                     RootHidingSpend::deserialize(params_, body));
-               } else {
-                 result = dec_bank_.deposit(
-                     SpendBundle::deserialize(params_, body));
-               }
+               const DepositRequest req =
+                   decode_deposit_request(params_, wire);
+               const SettleOutcome result = dec_bank_.deposit(req.spend);
                if (result.accepted()) {
-                 infra_.bank.credit(account, result.value,
+                 infra_.bank.credit(req.aid, result.value,
                                     infra_.scheduler.now());
                }
                Writer out;
@@ -508,8 +496,23 @@ void PpmsDecMarket::deposit_one(SessionLink& link, const std::string& aid,
 void PpmsDecMarket::deposit_coins(ParticipantSession& sp) {
   obs::Span span("ppmsdec.deposit");
   const std::string aid = sp.account.aid;
-  const std::uint64_t span_ticks =
-      config_.max_deposit_delay - config_.min_deposit_delay + 1;
+  // Each coin draws an independent random delay (eq. 11), hiding coins
+  // first. Every draw checks the range, so an invalid one throws before
+  // any coin leaves the session.
+  const auto delay = [this, &sp] {
+    return random_delay(sp.rng, config_.min_deposit_delay,
+                        config_.max_deposit_delay);
+  };
+  std::vector<std::pair<std::uint64_t, DepositSpend>> drawn;
+  drawn.reserve(sp.hiding_coins.size() + sp.coins.size());
+  for (RootHidingSpend& coin : sp.hiding_coins) {
+    drawn.emplace_back(delay(), std::move(coin));
+  }
+  for (SpendBundle& coin : sp.coins) {
+    drawn.emplace_back(delay(), std::move(coin));
+  }
+  sp.hiding_coins.clear();
+  sp.coins.clear();
 
   if (link_.plan().enabled()) {
     // Faulty transport: every coin travels as its own reliable,
@@ -518,93 +521,64 @@ void PpmsDecMarket::deposit_coins(ParticipantSession& sp) {
     // dangle on this (stack-local) session; the call's retry loop pumps
     // the logical clock re-entrantly from inside the event while replies
     // are in flight.
-    for (RootHidingSpend& coin : sp.hiding_coins) {
-      const std::uint64_t delay =
-          config_.min_deposit_delay + sp.rng.uniform(span_ticks);
+    for (auto& [when, coin] : drawn) {
       infra_.scheduler.schedule_after(
-          delay, [this, aid, link = link_.new_session(),
-                  wire = coin.serialize(params_)]() mutable {
-            deposit_one(link, aid, /*hiding=*/true, wire);
+          when, [this, aid, link = link_.new_session(),
+                 coin = std::move(coin)]() mutable {
+            deposit_one(link, aid, coin);
           });
     }
-    sp.hiding_coins.clear();
-    for (SpendBundle& coin : sp.coins) {
-      const std::uint64_t delay =
-          config_.min_deposit_delay + sp.rng.uniform(span_ticks);
-      infra_.scheduler.schedule_after(
-          delay, [this, aid, link = link_.new_session(),
-                  wire = coin.serialize(params_)]() mutable {
-            deposit_one(link, aid, /*hiding=*/false, wire);
-          });
-    }
-    sp.coins.clear();
     return;
   }
 
-  // Lossless transport: the legacy batch path, byte for byte. Each coin
-  // draws an independent random delay (eq. 11); coins landing on the same
-  // tick travel to the bank as one batch. Ledger entries are stamped with
-  // the logical clock, so timing — the observation stream the attacks
-  // mine — is exactly the per-coin schedule.
-  struct TickBatch {
-    std::vector<RootHidingSpend> hiding;
-    std::vector<SpendBundle> regular;
-  };
-  std::map<std::uint64_t, TickBatch> batches;
-  for (RootHidingSpend& coin : sp.hiding_coins) {
-    const std::uint64_t delay =
-        config_.min_deposit_delay + sp.rng.uniform(span_ticks);
-    batches[delay].hiding.push_back(std::move(coin));
-  }
-  sp.hiding_coins.clear();
-  for (SpendBundle& coin : sp.coins) {
-    const std::uint64_t delay =
-        config_.min_deposit_delay + sp.rng.uniform(span_ticks);
-    batches[delay].regular.push_back(std::move(coin));
-  }
-  sp.coins.clear();
+  // Lossless transport: coins landing on the same tick travel to the
+  // bank as one batch. Ledger entries are stamped with the logical clock,
+  // so timing — the observation stream the attacks mine — is exactly the
+  // per-coin schedule.
+  std::map<std::uint64_t, std::vector<DepositSpend>> batches;
+  for (auto& [when, coin] : drawn) batches[when].push_back(std::move(coin));
 
-  for (auto& [delay, batch] : batches) {
+  for (auto& [when, batch] : batches) {
     infra_.scheduler.schedule_after(
-        delay, [this, aid, batch = std::move(batch)]() {
+        when, [this, aid, batch = std::move(batch)]() {
           // SP -> MA, one wire message per coin (Table II accounting is
           // per coin, batching is a bank-side settlement concern).
-          std::vector<RootHidingSpend> arrived_hiding;
-          std::vector<SpendBundle> arrived_regular;
+          std::vector<DepositSpend> arrived;
+          arrived.reserve(batch.size());
           std::string account;
-          for (const RootHidingSpend& coin : batch.hiding) {
+          for (const DepositSpend& coin : batch) {
             obs::Span span("ppmsdec.deposit.coin");
             Writer msg;
             msg.put_string(aid);
-            msg.put_bytes(coin.serialize(params_));
+            msg.put_bytes(std::visit(
+                [this](const auto& c) { return c.serialize(params_); },
+                coin));
             const Bytes wire = infra_.traffic.send(
                 Role::Participant, Role::Admin, msg.take());
             ScopedRole as_ma(Role::Admin);
             Reader r(wire);
             account = r.get_string();
-            arrived_hiding.push_back(
-                RootHidingSpend::deserialize(params_, r.get_bytes()));
+            const Bytes body = r.get_bytes();
+            if (std::holds_alternative<RootHidingSpend>(coin)) {
+              arrived.emplace_back(RootHidingSpend::deserialize(params_, body));
+            } else {
+              arrived.emplace_back(SpendBundle::deserialize(params_, body));
+            }
           }
-          for (const SpendBundle& coin : batch.regular) {
-            obs::Span span("ppmsdec.deposit.coin");
-            Writer msg;
-            msg.put_string(aid);
-            msg.put_bytes(coin.serialize(params_));
-            const Bytes wire = infra_.traffic.send(
-                Role::Participant, Role::Admin, msg.take());
-            ScopedRole as_ma(Role::Admin);
-            Reader r(wire);
-            account = r.get_string();
-            arrived_regular.push_back(
-                SpendBundle::deserialize(params_, r.get_bytes()));
-          }
-          // MA: verify + double-spend check + ledger credit. The batch
-          // runs inline here (no nested pool) — when settle() drains in
-          // parallel, the tick's batches already run concurrently.
+          // MA: verify the tick as one batch, then double-spend check +
+          // ledger credit in listed order. The batch runs inline here —
+          // when settle() drains in parallel, the tick's batches already
+          // run concurrently.
           ScopedRole as_ma(Role::Admin);
-          const auto results = dec_bank_.deposit_batch(
-              arrived_hiding, arrived_regular, nullptr);
-          for (const auto& result : results) {
+          std::vector<const DepositSpend*> members;
+          members.reserve(arrived.size());
+          for (const DepositSpend& coin : arrived) members.push_back(&coin);
+          const std::vector<bool> ok = dec_bank_.verify_batch(members);
+          for (std::size_t i = 0; i < arrived.size(); ++i) {
+            if (!ok[i]) continue;
+            const SettleOutcome result = std::visit(
+                [this](const auto& c) { return dec_bank_.settle_verified(c); },
+                arrived[i]);
             if (result.accepted()) {
               infra_.bank.credit(account, result.value,
                                  infra_.scheduler.now());

@@ -21,7 +21,7 @@
 //  * the payment is cash-broken and padded with fake coins E(0) so the MA
 //    cannot run the denomination attack on message sizes;
 //  * deposits are scheduled at random logical-time delays; same-tick coins
-//    of one SP settle through the bank's batch deposit path.
+//    of one SP settle as one DecBank::verify_batch.
 #pragma once
 
 #include <map>
@@ -157,9 +157,11 @@ class PpmsDecMarket {
   void confirm_and_release_data(ParticipantSession& sp,
                                 JobOwnerSession& jo);
 
-  /// Step 9: SP deposits its coins at random logical-time delays; coins
-  /// that drew the same tick travel as one batch through the DEC bank's
-  /// batch deposit path. Run `settle()` to execute.
+  /// Step 9: SP deposits its coins at random logical-time delays in
+  /// [min_deposit_delay, max_deposit_delay]; coins that drew the same tick
+  /// are verified as one DecBank::verify_batch. Run `settle()` to execute.
+  /// Throws MarketError (kInvalidSchedule) on an invalid delay range (see
+  /// random_delay), leaving the session's coins in place.
   void deposit_coins(ParticipantSession& sp);
 
   /// Drain the logical scheduler (deposits credit the fiat ledger). Uses
@@ -182,8 +184,8 @@ class PpmsDecMarket {
   /// One reliable per-coin deposit call (faulty transport only). The
   /// idempotency key folds in the coin's serialized bytes, so a retried or
   /// redelivered deposit can never credit twice.
-  void deposit_one(SessionLink& link, const std::string& aid, bool hiding,
-                   const Bytes& coin_wire);
+  void deposit_one(SessionLink& link, const std::string& aid,
+                   const DepositSpend& coin);
 
   DecParams params_;
   PpmsDecConfig config_;

@@ -1,12 +1,37 @@
 #include "dec/bank.h"
 
 #include <algorithm>
-#include <future>
 
 #include "dec/statement.h"
-#include "util/thread_pool.h"
+#include "market/error.h"
+#include "util/serial.h"
 
 namespace ppms {
+
+Bytes encode_deposit_request(const std::string& aid, bool hiding,
+                             const Bytes& coin_wire) {
+  Writer w;
+  w.put_string(aid);
+  w.put_bool(hiding);
+  w.put_bytes(coin_wire);
+  return w.take();
+}
+
+DepositRequest decode_deposit_request(const DecParams& params,
+                                      const Bytes& payload) {
+  Reader r(payload);
+  std::string aid = r.get_string();
+  const bool hiding = r.get_bool();
+  const Bytes body = r.get_bytes();
+  if (!r.exhausted()) {
+    throw MarketError(MarketErrc::kMalformedMessage,
+                      "deposit: trailing garbage");
+  }
+  if (hiding) {
+    return {std::move(aid), RootHidingSpend::deserialize(params, body)};
+  }
+  return {std::move(aid), SpendBundle::deserialize(params, body)};
+}
 
 DecBank::DecBank(DecParams params, SecureRandom& rng)
     : params_(std::move(params)),
@@ -94,7 +119,7 @@ void DecBank::journal_spend_mark(const std::vector<SerialKey>& revealed,
                    storage::encode(rec));
 }
 
-SettleOutcome DecBank::commit_regular(const SpendBundle& bundle) {
+SettleOutcome DecBank::settle_verified(const SpendBundle& bundle) {
   const std::size_t depth = bundle.node.depth;
   const SerialKey node_key = key_of(depth, bundle.path_serials[depth]);
 
@@ -102,8 +127,8 @@ SettleOutcome DecBank::commit_regular(const SpendBundle& bundle) {
   for (std::size_t d = 0; d <= depth; ++d) {
     path_keys.push_back(key_of(d, bundle.path_serials[d]));
   }
-  // Whole-coin deposits must also fence off their (never-revealed-by-
-  // hiding-spend) depth-1 children; see deposit_hiding's doc comment.
+  // Whole-coin deposits also fence off their depth-1 children, which a
+  // root-hiding spend reveals without S_0 (see the header).
   std::vector<SerialKey> child_keys;
   if (depth == 0 && params_.L >= 1) {
     for (const bool bit : {false, true}) {
@@ -152,7 +177,7 @@ SettleOutcome DecBank::commit_regular(const SpendBundle& bundle) {
   return SettleOutcome::ok(params_.node_value(depth));
 }
 
-SettleOutcome DecBank::commit_hiding(const RootHidingSpend& spend) {
+SettleOutcome DecBank::settle_verified(const RootHidingSpend& spend) {
   const std::size_t depth = spend.node.depth;
   // path_serials[i] is the serial at tree depth i + 1.
   const SerialKey node_key = key_of(depth, spend.path_serials[depth - 1]);
@@ -180,110 +205,50 @@ SettleOutcome DecBank::commit_hiding(const RootHidingSpend& spend) {
   return SettleOutcome::ok(params_.node_value(depth));
 }
 
-SettleOutcome DecBank::deposit(const SpendBundle& bundle) {
-  if (!verify_spend(params_, keys_.pk, bundle)) {
+SettleOutcome DecBank::deposit(const DepositSpend& spend) {
+  if (!verify_batch({&spend})[0]) {
     return SettleOutcome::rejected(MarketErrc::kSpendRejected,
                                    "spend verification failed");
   }
-  return commit_regular(bundle);
-}
-
-SettleOutcome DecBank::deposit_hiding(const RootHidingSpend& spend) {
-  if (!verify_root_hiding_spend(params_, keys_.pk, spend)) {
-    return SettleOutcome::rejected(MarketErrc::kSpendRejected,
-                                   "spend verification failed");
-  }
-  return commit_hiding(spend);
+  return std::visit([this](const auto& s) { return settle_verified(s); },
+                    spend);
 }
 
 std::vector<bool> DecBank::verify_batch(
-    const std::vector<RootHidingSpend>& hiding,
-    const std::vector<SpendBundle>& spends, ThreadPool* pool) const {
-  const std::size_t total = hiding.size() + spends.size();
-
-  // One engine call for the tick: the randomized product of every
+    const std::vector<const DepositSpend*>& spends) const {
+  // One engine call for the batch: the randomized product of every
   // certificate pairing equation leads, and every member's GT statement
   // (V, W) rides along — one combined Miller pass and one batched final
-  // exponentiation for the whole tick's pairing bill.
+  // exponentiation for the whole batch's pairing bill.
   std::vector<const ClSignature*> certs;
-  certs.reserve(total);
-  for (const RootHidingSpend& spend : hiding) certs.push_back(&spend.cert);
-  for (const SpendBundle& bundle : spends) certs.push_back(&bundle.cert);
-  CertBatch cb;
-  {
-    std::lock_guard lock(batch_rng_mu_);
-    cb = verify_certs_with_statements(params_, keys_.pk, certs, batch_rng_);
+  certs.reserve(spends.size());
+  for (const DepositSpend* spend : spends) {
+    certs.push_back(
+        std::visit([](const auto& s) { return &s.cert; }, *spend));
   }
-  const auto stmt = [&cb](std::size_t i) {
-    return cb.statements[i] ? &*cb.statements[i] : nullptr;
-  };
+  SecureRandom rng = [this] {
+    std::lock_guard lock(batch_rng_mu_);
+    return SecureRandom(batch_rng_.next_u64());
+  }();
+  const CertBatch cb =
+      verify_certs_with_statements(params_, keys_.pk, certs, rng);
 
   // The t-dependent remainder of every spend still runs (even for
   // cert-rejected members) so the batch's op counts and timing stay in
-  // line with the per-deposit path on honest traffic.
-  const auto rest_of = [&](std::size_t i) {
-    return i < hiding.size()
-               ? verify_root_hiding_spend_with_statement(
-                     params_, keys_.pk, hiding[i], kRootHidingRounds, stmt(i))
-               : verify_spend_with_statement(params_, keys_.pk,
-                                             spends[i - hiding.size()],
-                                             stmt(i));
-  };
-  std::vector<char> rest(total, 0);
-  if (pool != nullptr && total > 1) {
-    std::vector<std::future<bool>> futures;
-    futures.reserve(total);
-    for (std::size_t i = 0; i < total; ++i) {
-      futures.push_back(pool->submit([&rest_of, i] { return rest_of(i); }));
-    }
-    // Every task reads this frame's statements: let all finish before a
-    // get() can rethrow and unwind it.
-    for (const std::future<bool>& f : futures) f.wait();
-    for (std::size_t i = 0; i < total; ++i) {
-      rest[i] = futures[i].get() ? 1 : 0;
-    }
-  } else {
-    for (std::size_t i = 0; i < total; ++i) rest[i] = rest_of(i) ? 1 : 0;
-  }
-
-  std::vector<bool> verified(total);
-  for (std::size_t i = 0; i < total; ++i) {
-    verified[i] = cb.cert_ok[i] && rest[i] != 0;
+  // line with the single verifiers on honest traffic.
+  std::vector<bool> verified(spends.size());
+  for (std::size_t i = 0; i < spends.size(); ++i) {
+    const GtStatement* stmt = cb.statements[i] ? &*cb.statements[i] : nullptr;
+    const bool rest =
+        std::holds_alternative<RootHidingSpend>(*spends[i])
+            ? verify_root_hiding_spend_with_statement(
+                  params_, keys_.pk, std::get<RootHidingSpend>(*spends[i]),
+                  kRootHidingRounds, stmt)
+            : verify_spend_with_statement(
+                  params_, keys_.pk, std::get<SpendBundle>(*spends[i]), stmt);
+    verified[i] = cb.cert_ok[i] && rest;
   }
   return verified;
-}
-
-SettleOutcome DecBank::settle_verified(const SpendBundle& bundle) {
-  return commit_regular(bundle);
-}
-
-SettleOutcome DecBank::settle_verified_hiding(const RootHidingSpend& spend) {
-  return commit_hiding(spend);
-}
-
-std::vector<SettleOutcome> DecBank::deposit_batch(
-    const std::vector<RootHidingSpend>& hiding,
-    const std::vector<SpendBundle>& spends, ThreadPool* pool) {
-  const std::vector<bool> verified = verify_batch(hiding, spends, pool);
-
-  // Commit sequentially in listed order so intra-batch double spends
-  // resolve exactly as the equivalent sequence of single deposits.
-  std::vector<SettleOutcome> results(hiding.size() + spends.size());
-  for (std::size_t i = 0; i < hiding.size(); ++i) {
-    results[i] = verified[i]
-                     ? commit_hiding(hiding[i])
-                     : SettleOutcome::rejected(MarketErrc::kSpendRejected,
-                                               "spend verification failed");
-  }
-  for (std::size_t i = 0; i < spends.size(); ++i) {
-    const std::size_t slot = hiding.size() + i;
-    results[slot] = verified[slot]
-                        ? commit_regular(spends[i])
-                        : SettleOutcome::rejected(
-                              MarketErrc::kSpendRejected,
-                              "spend verification failed");
-  }
-  return results;
 }
 
 std::size_t DecBank::recorded_serials() const {

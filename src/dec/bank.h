@@ -7,6 +7,11 @@
 // serial paths: spending a node, one of its ancestors, or one of its
 // descendants always re-reveals a serial the bank has already filed.
 //
+// Deposit surface: both spend kinds travel as one DepositSpend. There is
+// one verification path, verify_batch (any mix of kinds, flags in input
+// order), and one commit path, settle_verified (an overload per kind);
+// deposit() is a verified batch of one followed by its commit.
+//
 // Thread-safe: deposits and withdrawals may arrive concurrently from the
 // parallel market driver. The serial store is striped: each (depth,
 // serial) key hashes to one of kShards shards with its own mutex, and a
@@ -22,6 +27,7 @@
 #include <set>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "dec/root_hiding.h"
@@ -32,7 +38,27 @@
 
 namespace ppms {
 
-class ThreadPool;
+/// One deposited coin: a regular spend (reveals S_0..S_d) or a
+/// root-hiding spend (reveals S_1..S_d; dec/root_hiding.h).
+using DepositSpend = std::variant<SpendBundle, RootHidingSpend>;
+
+/// The per-coin deposit request frame: the depositor's account id, the
+/// spend kind (true = root-hiding) and the serialized spend. The staged
+/// market server (server/server.h) and the faulty-transport market
+/// (PpmsDecMarket) speak it, so the same client code feeds either.
+Bytes encode_deposit_request(const std::string& aid, bool hiding,
+                             const Bytes& coin_wire);
+
+struct DepositRequest {
+  std::string aid;
+  DepositSpend spend;
+};
+
+/// Inverse of encode_deposit_request. Throws MarketError
+/// (kMalformedMessage) on trailing bytes; a spend body that does not
+/// parse throws whatever its deserializer throws.
+DepositRequest decode_deposit_request(const DecParams& params,
+                                      const Bytes& payload);
 
 class DecBank {
  public:
@@ -49,54 +75,39 @@ class DecBank {
                                       const Bytes& context,
                                       SecureRandom& rng);
 
-  /// Verify the spend, check the double-spend database, file the serials.
+  /// The per-coin deposit: verify_batch of one, then settle_verified.
   /// Returns the market-wide SettleOutcome shape (market/outcome.h):
   /// accepted with the coin value, or rejected with kSpendRejected /
-  /// kDoubleSpend and a diagnostic.
-  SettleOutcome deposit(const SpendBundle& bundle);
+  /// kDoubleSpend and a diagnostic. Unlike settle_verified it can never
+  /// file an unverified spend.
+  SettleOutcome deposit(const DepositSpend& spend);
 
-  /// Deposit a root-hiding spend (extension; see dec/root_hiding.h).
-  /// Detection interplay with regular spends:
-  ///  * hiding spends reveal serials from depth 1, so conflicts among
-  ///    depth >= 1 nodes use the ordinary path rules;
-  ///  * a depth-0 (whole-coin) regular deposit additionally files both
-  ///    depth-1 child serials as consumed, and is itself rejected if a
-  ///    child serial is already on file — this is what keeps root spends
-  ///    and root-hiding spends of the same coin mutually exclusive even
-  ///    though the latter never show S_0.
-  SettleOutcome deposit_hiding(const RootHidingSpend& spend);
+  /// Verify a batch of deposited spends, either kind, in any order. One
+  /// pairing-engine call decides every member's t-independent certificate
+  /// equation as one randomized product (scalars from the bank's own
+  /// stream) and computes every member's GT statement alongside
+  /// (dec/statement.h); each member's remainder then runs inline on its
+  /// statement. Flags are in input order and match verify_spend /
+  /// verify_root_hiding_spend member by member.
+  std::vector<bool> verify_batch(
+      const std::vector<const DepositSpend*>& spends) const;
 
-  /// Batch settlement path for one tick's pending deposits: verify every
-  /// spend (see verify_batch), then commit the verified ones through the
-  /// striped double-spend store in listed order — hiding spends first,
-  /// then regular spends, matching the order the market's deposit
-  /// scheduler files them. The result vector holds the hiding results
-  /// first, then the regular ones.
-  std::vector<SettleOutcome> deposit_batch(
-      const std::vector<RootHidingSpend>& hiding,
-      const std::vector<SpendBundle>& spends, ThreadPool* pool = nullptr);
-
-  /// Verification half of deposit_batch, exposed for benchmarking and
-  /// reuse: one pairing-engine call decides the t-independent certificate
-  /// equations of the whole tick as one randomized product (scalars from
-  /// the bank's own stream) and computes every member's GT statement
-  /// alongside (dec/statement.h); the per-spend remainder then runs on
-  /// those statements, in parallel on `pool` (inline when null). Flags are
-  /// ordered hiding-first, like deposit_batch results, and match the
-  /// per-deposit verifiers exactly.
-  std::vector<bool> verify_batch(const std::vector<RootHidingSpend>& hiding,
-                                 const std::vector<SpendBundle>& spends,
-                                 ThreadPool* pool = nullptr) const;
-
-  /// Settlement half of deposit() for a spend the caller has ALREADY
-  /// verified (verify_spend / verify_batch): double-spend check + serial
-  /// filing through the striped store, no re-verification. The staged
-  /// market server (server/server.h) runs verification as its own
-  /// pipeline stage — batched across unrelated sessions — and its settle
-  /// shards commit through these. Calling them on an unverified spend
-  /// forfeits the scheme's soundness; nothing here re-checks the proofs.
+  /// Double-spend check + serial filing through the striped store for a
+  /// spend the caller has ALREADY verified (verify_batch), with no
+  /// re-verification: calling these on an unverified spend forfeits the
+  /// scheme's soundness. Committing a batch's verified members in listed
+  /// order resolves intra-batch double spends exactly as the same
+  /// sequence of deposit() calls would.
+  ///
+  /// Detection: spending a node, one of its ancestors or one of its
+  /// descendants re-reveals a filed serial. Root-hiding spends reveal
+  /// serials from depth 1 only, so a depth-0 (whole-coin) regular spend
+  /// also files both depth-1 child serials as spent, and is rejected if
+  /// either is already on file — this keeps root spends and root-hiding
+  /// spends of one coin mutually exclusive although the latter never
+  /// show S_0.
   SettleOutcome settle_verified(const SpendBundle& bundle);
-  SettleOutcome settle_verified_hiding(const RootHidingSpend& spend);
+  SettleOutcome settle_verified(const RootHidingSpend& spend);
 
   /// Number of serials on file (test/diagnostics).
   std::size_t recorded_serials() const;
@@ -131,10 +142,6 @@ class DecBank {
   SerialKey key_of(std::size_t depth, const Bigint& serial) const;
   static std::size_t shard_of(const SerialKey& key);
 
-  /// Double-spend check + serial filing for an already-verified spend.
-  SettleOutcome commit_regular(const SpendBundle& bundle);
-  SettleOutcome commit_hiding(const RootHidingSpend& spend);
-
   /// Append the kDecSpendMark record for an accepted commit (call with
   /// the relevant stripes locked; no-op without a journal).
   void journal_spend_mark(const std::vector<SerialKey>& revealed,
@@ -153,7 +160,9 @@ class DecBank {
   ClKeyPair keys_;
   /// Verifier-owned randomness for batch-verification scalars (seeded off
   /// the construction stream so replays stay deterministic), with its own
-  /// lock: verify_batch is const and may race with other bank calls.
+  /// lock: verify_batch is const and may race with other bank calls. Each
+  /// call holds the lock only to seed a call-local stream, so concurrent
+  /// batches never serialize their pairing work on it.
   mutable std::mutex batch_rng_mu_;
   mutable SecureRandom batch_rng_;
   mutable std::array<Shard, kShards> shards_;

@@ -18,7 +18,7 @@
 // challenge bit 0 opens r_i, bit 1 opens r_i - t, and both sides check.
 // Soundness is 2^-rounds.
 //
-// Bank-side double-spend handling lives in DecBank::deposit_hiding; the
+// Bank-side double-spend handling lives in DecBank::settle_verified; the
 // depth-0 special casing it needs is documented there.
 #pragma once
 

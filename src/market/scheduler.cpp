@@ -11,6 +11,19 @@
 
 namespace ppms {
 
+std::uint64_t random_delay(SecureRandom& rng, std::uint64_t min_delay,
+                           std::uint64_t max_delay) {
+  if (min_delay > max_delay) {
+    throw MarketError(MarketErrc::kInvalidSchedule,
+                      "random_delay: min_delay > max_delay");
+  }
+  if (max_delay - min_delay == std::numeric_limits<std::uint64_t>::max()) {
+    throw MarketError(MarketErrc::kInvalidSchedule,
+                      "random_delay: delay range width overflows");
+  }
+  return min_delay + rng.uniform(max_delay - min_delay + 1);
+}
+
 void LogicalScheduler::schedule_after(std::uint64_t delay, Action action) {
   if (delay > std::numeric_limits<std::uint64_t>::max() - now()) {
     throw MarketError(MarketErrc::kInvalidSchedule,
@@ -34,17 +47,7 @@ void LogicalScheduler::schedule_random(SecureRandom& rng,
                                        std::uint64_t min_delay,
                                        std::uint64_t max_delay,
                                        Action action) {
-  if (min_delay > max_delay) {
-    throw MarketError(MarketErrc::kInvalidSchedule,
-                      "schedule_random: min_delay > max_delay");
-  }
-  if (max_delay - min_delay ==
-      std::numeric_limits<std::uint64_t>::max()) {
-    throw MarketError(MarketErrc::kInvalidSchedule,
-                      "schedule_random: delay range width overflows");
-  }
-  const std::uint64_t span = max_delay - min_delay + 1;
-  schedule_after(min_delay + rng.uniform(span), std::move(action));
+  schedule_after(random_delay(rng, min_delay, max_delay), std::move(action));
 }
 
 std::size_t LogicalScheduler::pending() const {

@@ -30,6 +30,12 @@ namespace ppms {
 
 class ThreadPool;
 
+/// Uniformly random delay in [min_delay, max_delay]. Throws MarketError
+/// (kInvalidSchedule) on an inverted range (min_delay > max_delay) or one
+/// whose width overflows, instead of drawing from a wrapped span.
+std::uint64_t random_delay(SecureRandom& rng, std::uint64_t min_delay,
+                           std::uint64_t max_delay);
+
 class LogicalScheduler {
  public:
   using Action = std::function<void()>;
@@ -45,10 +51,7 @@ class LogicalScheduler {
   /// 64-bit clock.
   void schedule_after(std::uint64_t delay, Action action);
 
-  /// Schedule at a uniformly random delay in [min_delay, max_delay].
-  /// Throws MarketError (kInvalidSchedule) on an inverted range
-  /// (min_delay > max_delay) or one whose width overflows, instead of
-  /// drawing from a wrapped span.
+  /// schedule_after(random_delay(rng, min_delay, max_delay), action).
   void schedule_random(SecureRandom& rng, std::uint64_t min_delay,
                        std::uint64_t max_delay, Action action);
 

@@ -7,7 +7,6 @@
 #include "market/error.h"
 #include "obs/metrics.h"
 #include "util/counters.h"
-#include "util/serial.h"
 
 namespace ppms {
 
@@ -60,15 +59,6 @@ std::uint64_t elapsed_us(std::chrono::steady_clock::time_point t0) {
 }
 
 }  // namespace
-
-Bytes encode_deposit_request(const std::string& aid, bool hiding,
-                             const Bytes& coin_wire) {
-  Writer w;
-  w.put_string(aid);
-  w.put_bool(hiding);
-  w.put_bytes(coin_wire);
-  return w.take();
-}
 
 MarketServer::MarketServer(const DecParams& params, DecBank& bank,
                            VBank& vbank, LogicalScheduler& scheduler,
@@ -205,22 +195,10 @@ void MarketServer::decode_loop() {
     Deposit dep;
     dep.idem_key = env.idem_key;
     try {
-      Reader r(env.payload);
-      dep.aid = r.get_string();
-      dep.hiding = r.get_bool();
-      const Bytes body = r.get_bytes();
-      if (!r.exhausted()) {
-        throw MarketError(MarketErrc::kMalformedMessage,
-                          "deposit: trailing garbage");
-      }
-      if (!vbank_.has_account(dep.aid)) {
+      dep.request = decode_deposit_request(params_, env.payload);
+      if (!vbank_.has_account(dep.request.aid)) {
         throw MarketError(MarketErrc::kUnknownAccount,
-                          "deposit: unknown account " + dep.aid);
-      }
-      if (dep.hiding) {
-        dep.hspend = RootHidingSpend::deserialize(params_, body);
-      } else {
-        dep.spend = SpendBundle::deserialize(params_, body);
+                          "deposit: unknown account " + dep.request.aid);
       }
     } catch (const MarketError& e) {
       metrics().malformed->add();
@@ -266,35 +244,15 @@ void MarketServer::verify_loop() {
 
     obs::ScopedTimer timer(*metrics().verify_lat);
 
-    // verify_batch wants value vectors ordered hiding-first; spends move
-    // out of the items and back, never copy.
-    std::vector<RootHidingSpend> hiding;
-    std::vector<SpendBundle> spends;
-    std::vector<std::size_t> hiding_slots, spend_slots;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (batch[i].hiding) {
-        hiding.push_back(std::move(*batch[i].hspend));
-        hiding_slots.push_back(i);
-      } else {
-        spends.push_back(std::move(*batch[i].spend));
-        spend_slots.push_back(i);
-      }
-    }
-
-    const std::vector<bool> ok = bank_.verify_batch(hiding, spends, nullptr);
+    // One engine call for the whole batch; flags come back in arrival
+    // order.
+    std::vector<const DepositSpend*> spends;
+    spends.reserve(batch.size());
+    for (const Deposit& dep : batch) spends.push_back(&dep.request.spend);
+    const std::vector<bool> ok = bank_.verify_batch(spends);
     metrics().verify_batches->add();
     metrics().verify_coins->add(batch.size());
-
-    for (std::size_t k = 0; k < hiding_slots.size(); ++k) {
-      Deposit& dep = batch[hiding_slots[k]];
-      dep.verified = ok[k];
-      dep.hspend = std::move(hiding[k]);
-    }
-    for (std::size_t k = 0; k < spend_slots.size(); ++k) {
-      Deposit& dep = batch[spend_slots[k]];
-      dep.verified = ok[hiding.size() + k];
-      dep.spend = std::move(spends[k]);
-    }
+    for (std::size_t i = 0; i < batch.size(); ++i) batch[i].verified = ok[i];
 
     for (Deposit& dep : batch) {
       const Bytes key = dep.idem_key;  // survives the move below
@@ -325,8 +283,9 @@ void MarketServer::settle_loop(std::size_t shard) {
                                           "spend verification failed");
       } else {
         try {
-          outcome = item->hiding ? bank_.settle_verified_hiding(*item->hspend)
-                                 : bank_.settle_verified(*item->spend);
+          outcome = std::visit(
+              [this](const auto& s) { return bank_.settle_verified(s); },
+              item->request.spend);
           if (outcome.accepted()) {
             // Epoch mode swaps the per-coin credit for an accrual into
             // the current billing window; the money reaches the fiat
@@ -335,9 +294,11 @@ void MarketServer::settle_loop(std::size_t shard) {
             // identical, so double-spend and idempotency guarantees
             // don't depend on the settlement mode.
             if (config_.epoch_netting) {
-              epochs_.accrue(item->aid, outcome.value, scheduler_.now());
+              epochs_.accrue(item->request.aid, outcome.value,
+                             scheduler_.now());
             } else {
-              vbank_.credit(item->aid, outcome.value, scheduler_.now());
+              vbank_.credit(item->request.aid, outcome.value,
+                            scheduler_.now());
             }
           }
         } catch (const MarketError& e) {

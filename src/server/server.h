@@ -24,23 +24,24 @@
 //  * decode — Envelope::deserialize (the PR 4 wire frame, so fault plans
 //    and FaultyChannel feeds apply unchanged), idempotency check against
 //    the server's IdempotencyStore, in-flight duplicate coalescing, and
-//    request-payload parsing (account, spend deserialization, account
-//    existence). Malformed frames are answered immediately and never
-//    consume verify/settle capacity.
+//    request-payload parsing (decode_deposit_request, dec/bank.h) plus
+//    the account-existence check. Malformed frames are answered
+//    immediately and never consume verify/settle capacity.
 //  * verify — pops one deposit, then greedily drains up to
 //    verify_batch_max more without blocking, and verifies the whole
-//    accumulation through DecBank::verify_batch: the t-independent
-//    certificate equations of deposits from UNRELATED sessions fold into
-//    one randomized product of pairings, and every deposit's GT statement
-//    rides in the same pairing-engine call (dec/statement.h), which is
-//    where the pairing bill of the deposit path amortizes across the
-//    whole market's traffic instead of one SP's tick.
+//    accumulation in arrival order through DecBank::verify_batch: the
+//    t-independent certificate equations of deposits from UNRELATED
+//    sessions fold into one randomized product of pairings, and every
+//    deposit's GT statement rides in the same pairing-engine call
+//    (dec/statement.h), which is where the pairing bill of the deposit
+//    path amortizes across the whole market's traffic instead of one
+//    SP's tick.
 //  * settle — deposits shard by idempotency key onto per-shard queues;
 //    each settle worker commits its stream through
-//    DecBank::settle_verified{,_hiding} (striped double-spend store) and
-//    credits the fiat ledger. The reply is recorded in the
-//    IdempotencyStore BEFORE waiters fire, so any later redelivery of the
-//    same key replays the recorded outcome instead of re-settling —
+//    DecBank::settle_verified (striped double-spend store) and credits
+//    the fiat ledger. The reply is recorded in the IdempotencyStore
+//    BEFORE waiters fire, so any later redelivery of the same key
+//    replays the recorded outcome instead of re-settling —
 //    at-least-once delivery in, exactly-once settlement out.
 //
 // Back-pressure: every inter-stage edge is a bounded queue pushed with
@@ -71,7 +72,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -112,13 +112,6 @@ struct MarketServerConfig {
   bool epoch_netting = false;
 };
 
-/// The request payload a deposit envelope carries: the SP's account id,
-/// whether the coin is a root-hiding spend, and the serialized spend.
-/// Matches the per-coin deposit message of the faulty-transport market
-/// (PpmsDecMarket::deposit_one), so the same client code can feed either.
-Bytes encode_deposit_request(const std::string& aid, bool hiding,
-                             const Bytes& coin_wire);
-
 class MarketServer {
  public:
   /// Completion callback; runs once the deposit's outcome exists —
@@ -138,7 +131,7 @@ class MarketServer {
   MarketServer& operator=(const MarketServer&) = delete;
 
   /// Admission-controlled asynchronous submit of one serialized Envelope
-  /// whose payload is an encode_deposit_request frame. `done` is ALWAYS
+  /// whose payload is an encode_deposit_request frame (dec/bank.h). `done` is ALWAYS
   /// invoked exactly once: asynchronously with the settled/replayed/
   /// rejected outcome, or synchronously with a kOverloaded outcome when
   /// the ingress queue is saturated (or the server is shut down) — the
@@ -177,10 +170,7 @@ class MarketServer {
 
   struct Deposit {
     Bytes idem_key;
-    std::string aid;
-    bool hiding = false;
-    std::optional<SpendBundle> spend;        ///< when !hiding
-    std::optional<RootHidingSpend> hspend;   ///< when hiding
+    DepositRequest request;
     bool verified = false;
   };
 

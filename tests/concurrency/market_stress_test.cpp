@@ -8,10 +8,10 @@
 #include <atomic>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "core/params.h"
-#include "util/thread_pool.h"
 
 namespace ppms {
 namespace {
@@ -74,9 +74,10 @@ TEST(MarketStressTest, ConcurrentPbsRoundsEachTransferOneUnit) {
 
 TEST(MarketStressTest, BatchDepositRejectsIntraBatchDoubleSpends) {
   // Run the protocol up to open_payment to obtain verified coins, then
-  // hand the DEC bank a batch containing every coin twice. The parallel
-  // verify pass accepts both copies cryptographically; the sequential
-  // commit pass must admit each serial exactly once, in listed order.
+  // have two threads each hand the DEC bank a batch containing every coin
+  // twice. verify_batch accepts every copy cryptographically (both
+  // batches verify concurrently); settling in listed order must admit
+  // each serial exactly once overall, and never a batch's second copy.
   PpmsDecConfig config;
   config.rsa_bits = 1024;
   config.strategy = CashBreakStrategy::kEpcba;
@@ -91,26 +92,35 @@ TEST(MarketStressTest, BatchDepositRejectsIntraBatchDoubleSpends) {
   ASSERT_TRUE(check.signature_ok);
   ASSERT_FALSE(sp.coins.empty());
 
-  std::vector<SpendBundle> batch = sp.coins;
+  std::vector<DepositSpend> batch(sp.coins.begin(), sp.coins.end());
   batch.insert(batch.end(), sp.coins.begin(), sp.coins.end());
-  ThreadPool pool(4);
-  const auto results = market.dec_bank().deposit_batch({}, batch, &pool);
-  ASSERT_EQ(results.size(), batch.size());
-  std::uint64_t credited = 0;
-  std::size_t accepted = 0;
-  for (const auto& result : results) {
-    if (result.accepted()) {
-      ++accepted;
-      credited += result.value;
+  std::vector<const DepositSpend*> members;
+  for (const DepositSpend& coin : batch) members.push_back(&coin);
+  DecBank& bank = market.dec_bank();
+  std::atomic<std::uint64_t> credited{0};
+  std::atomic<std::size_t> accepted{0};
+  auto depositor = [&] {
+    const std::vector<bool> ok = bank.verify_batch(members);
+    ASSERT_EQ(ok.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_TRUE(ok[i]) << i;
+      const SettleOutcome result =
+          bank.settle_verified(std::get<SpendBundle>(batch[i]));
+      if (i >= sp.coins.size()) {
+        EXPECT_FALSE(result.accepted()) << i;
+      }
+      if (result.accepted()) {
+        accepted.fetch_add(1);
+        credited.fetch_add(result.value);
+      }
     }
-  }
-  EXPECT_EQ(accepted, sp.coins.size());
-  EXPECT_EQ(credited, check.value);
-  // First listing of each coin wins; the replayed tail is rejected.
-  for (std::size_t i = 0; i < sp.coins.size(); ++i) {
-    EXPECT_TRUE(results[i].accepted()) << i;
-    EXPECT_FALSE(results[sp.coins.size() + i].accepted()) << i;
-  }
+  };
+  std::thread a(depositor);
+  std::thread b(depositor);
+  a.join();
+  b.join();
+  EXPECT_EQ(accepted.load(), sp.coins.size());
+  EXPECT_EQ(credited.load(), check.value);
 }
 
 TEST(MarketStressTest, ConcurrentDirectDepositsAdmitEachCoinOnce) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <utility>
+
 #include "core/params.h"
 #include "dec/bank.h"
 #include "dec/wallet.h"
@@ -149,6 +153,39 @@ TEST(PpmsDecTest, DoubleDepositOfSameCoinsRejected) {
     EXPECT_FALSE(market.dec_bank().deposit(coin).accepted());
   }
   EXPECT_EQ(market.infra().bank.balance(aid), 3);
+}
+
+TEST(PpmsDecTest, InvalidDepositDelayRangeThrowsAndKeepsCoins) {
+  // An inverted range (including min = max + 1) and a full-width one:
+  // deposit_coins must reject both before any coin leaves the session,
+  // instead of drawing from a wrapped or empty span.
+  const std::pair<std::uint64_t, std::uint64_t> kRanges[] = {
+      {5, 3}, {4, 3}, {0, std::numeric_limits<std::uint64_t>::max()}};
+  for (const auto& [min_delay, max_delay] : kRanges) {
+    SCOPED_TRACE(std::to_string(min_delay) + ".." +
+                 std::to_string(max_delay));
+    PpmsDecConfig config;
+    config.rsa_bits = 1024;
+    config.min_deposit_delay = min_delay;
+    config.max_deposit_delay = max_delay;
+    config.hide_roots = min_delay == 4;  // cover the hiding-coin list too
+    PpmsDecMarket market(fast_dec_params(46), config, 47);
+    JobOwnerSession jo = market.register_job("jo", "job", 5);
+    market.withdraw(jo);
+    ParticipantSession sp = market.register_labor("sp", jo);
+    market.submit_payment(jo, sp);
+    market.submit_data(sp, bytes_of("r"));
+    market.deliver_payment(sp);
+    market.open_payment(sp);
+    const std::size_t coins = sp.coins.size();
+    const std::size_t hiding_coins = sp.hiding_coins.size();
+    ASSERT_GT(coins + hiding_coins, 0u);
+    EXPECT_EQ(market_errc([&] { market.deposit_coins(sp); }),
+              MarketErrc::kInvalidSchedule);
+    EXPECT_EQ(sp.coins.size(), coins);
+    EXPECT_EQ(sp.hiding_coins.size(), hiding_coins);
+    EXPECT_EQ(market.infra().scheduler.pending(), 0u);
+  }
 }
 
 TEST(PpmsDecTest, TwoParticipantsOneJob) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <variant>
 
 #include "dec_fixture.h"
 
@@ -12,6 +13,7 @@ namespace {
 using testing::dec_params;
 using testing::make_bank;
 using testing::make_funded_wallet;
+using testing::members_of;
 
 TEST(BankDepositTest, HonestDepositCreditsValue) {
   DecBank bank = make_bank(300);
@@ -138,25 +140,46 @@ TEST(BankDepositTest, ConcurrentDoubleSpendOnlyOneAccepted) {
   EXPECT_NE(r1.accepted(), r2.accepted());
 }
 
+/// verify_batch, then settle_verified of every verified member in listed
+/// order (rejected with kSpendRejected otherwise).
+std::vector<SettleOutcome> settle_batch(DecBank& bank,
+                                        const std::vector<DepositSpend>& spends) {
+  const std::vector<bool> ok = bank.verify_batch(members_of(spends));
+  std::vector<SettleOutcome> out;
+  for (std::size_t i = 0; i < spends.size(); ++i) {
+    out.push_back(ok[i] ? std::visit(
+                              [&bank](const auto& s) {
+                                return bank.settle_verified(s);
+                              },
+                              spends[i])
+                        : SettleOutcome::rejected(MarketErrc::kSpendRejected,
+                                                  "spend verification failed"));
+  }
+  return out;
+}
+
 TEST(BankBatchTest, VerifyBatchMatchesPerDepositVerifiers) {
   DecBank bank = make_bank(400);
   DecWallet wallet = make_funded_wallet(bank, 401);
   SecureRandom rng(402);
-  std::vector<RootHidingSpend> hiding;
-  hiding.push_back(
+  // Regular, hiding, regular...: flags come back in input order.
+  std::vector<DepositSpend> spends;
+  spends.emplace_back(
+      wallet.spend(NodeIndex{3, 4}, bank.public_key(), rng, {}));
+  spends.emplace_back(
       wallet.spend_hiding(NodeIndex{1, 0}, bank.public_key(), rng, {}));
-  std::vector<SpendBundle> spends;
-  for (std::uint64_t i = 4; i < 8; ++i) {
-    spends.push_back(
+  for (std::uint64_t i = 5; i < 8; ++i) {
+    spends.emplace_back(
         wallet.spend(NodeIndex{3, i}, bank.public_key(), rng, {}));
   }
-  const std::vector<bool> ok = bank.verify_batch(hiding, spends);
-  ASSERT_EQ(ok.size(), hiding.size() + spends.size());
-  EXPECT_EQ(ok[0], verify_root_hiding_spend(bank.params(), bank.public_key(),
-                                            hiding[0]));
-  for (std::size_t i = 0; i < spends.size(); ++i) {
-    EXPECT_EQ(ok[1 + i],
-              verify_spend(bank.params(), bank.public_key(), spends[i]))
+  const std::vector<bool> ok = bank.verify_batch(members_of(spends));
+  ASSERT_EQ(ok.size(), spends.size());
+  EXPECT_EQ(ok[1], verify_root_hiding_spend(
+                       bank.params(), bank.public_key(),
+                       std::get<RootHidingSpend>(spends[1])));
+  for (const std::size_t i : {0, 2, 3, 4}) {
+    EXPECT_EQ(ok[i], verify_spend(bank.params(), bank.public_key(),
+                                  std::get<SpendBundle>(spends[i])))
         << "spend " << i;
   }
   for (const bool flag : ok) EXPECT_TRUE(flag);
@@ -168,14 +191,14 @@ TEST(BankBatchTest, ForgedCertInBatchIsSingledOut) {
   DecBank bank = make_bank(410);
   DecWallet wallet = make_funded_wallet(bank, 411);
   SecureRandom rng(412);
-  std::vector<SpendBundle> spends;
+  std::vector<DepositSpend> spends;
   for (std::uint64_t i = 0; i < 8; ++i) {
-    spends.push_back(
+    spends.emplace_back(
         wallet.spend(NodeIndex{3, i}, bank.public_key(), rng, {}));
   }
-  spends[3].cert.b =
-      ec_mul(spends[3].cert.b, Bigint(2), bank.params().pairing.p);
-  const std::vector<bool> ok = bank.verify_batch({}, spends);
+  ClSignature& forged = std::get<SpendBundle>(spends[3]).cert;
+  forged.b = ec_mul(forged.b, Bigint(2), bank.params().pairing.p);
+  const std::vector<bool> ok = bank.verify_batch(members_of(spends));
   ASSERT_EQ(ok.size(), spends.size());
   for (std::size_t i = 0; i < ok.size(); ++i) {
     EXPECT_EQ(ok[i], i != 3) << "spend " << i;
@@ -186,47 +209,60 @@ TEST(BankBatchTest, DepositBatchCommitsOnlyVerifiedMembers) {
   DecBank bank = make_bank(420);
   DecWallet wallet = make_funded_wallet(bank, 421);
   SecureRandom rng(422);
-  std::vector<RootHidingSpend> hiding;
-  hiding.push_back(
+  std::vector<DepositSpend> spends;
+  spends.emplace_back(
       wallet.spend_hiding(NodeIndex{2, 0}, bank.public_key(), rng, {}));
-  std::vector<SpendBundle> spends;
-  spends.push_back(
-      wallet.spend(NodeIndex{2, 1}, bank.public_key(), rng, {}));
-  spends.push_back(
-      wallet.spend(NodeIndex{1, 1}, bank.public_key(), rng, {}));
+  SpendBundle broken =
+      wallet.spend(NodeIndex{2, 1}, bank.public_key(), rng, {});
   // Corrupt the middle member's proof binding (wrong node index).
-  spends[0].node.index ^= 1;
-  const auto results = bank.deposit_batch(hiding, spends);
+  broken.node.index ^= 1;
+  spends.emplace_back(std::move(broken));
+  spends.emplace_back(
+      wallet.spend(NodeIndex{1, 1}, bank.public_key(), rng, {}));
+  const auto results = settle_batch(bank, spends);
   ASSERT_EQ(results.size(), 3u);
   EXPECT_TRUE(results[0].accepted()) << results[0].reason;
   EXPECT_FALSE(results[1].accepted());
+  EXPECT_EQ(results[1].errc, MarketErrc::kSpendRejected);
   EXPECT_TRUE(results[2].accepted()) << results[2].reason;
   EXPECT_EQ(results[0].value + results[2].value, 2u + 4u);
 }
 
 TEST(BankBatchTest, DepositBatchAndSequentialDepositsAgree) {
-  // Same spends through the batch path and through one-at-a-time
-  // deposits on a twin bank must accept the same set and values.
+  // The same spends — interleaved kinds, with one coin listed twice —
+  // through verify_batch + settle_verified in listed order and through
+  // one deposit() per spend on a twin bank: same verdicts, same values,
+  // same serial store.
   DecBank batch_bank = make_bank(430);
   DecBank serial_bank = make_bank(430);
   DecWallet w1 = make_funded_wallet(batch_bank, 431);
   DecWallet w2 = make_funded_wallet(serial_bank, 431);
-  SecureRandom rng1(432);
-  SecureRandom rng2(432);
-  std::vector<SpendBundle> spends1, spends2;
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    spends1.push_back(
-        w1.spend(NodeIndex{2, i}, batch_bank.public_key(), rng1, {}));
-    spends2.push_back(
-        w2.spend(NodeIndex{2, i}, serial_bank.public_key(), rng2, {}));
-  }
-  const auto batch = batch_bank.deposit_batch({}, spends1);
-  ASSERT_EQ(batch.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) {
+  const auto build = [](DecBank& bank, DecWallet& wallet) {
+    SecureRandom rng(432);
+    std::vector<DepositSpend> spends;
+    spends.emplace_back(
+        wallet.spend(NodeIndex{2, 0}, bank.public_key(), rng, {}));
+    spends.emplace_back(
+        wallet.spend_hiding(NodeIndex{2, 2}, bank.public_key(), rng, {}));
+    spends.emplace_back(
+        wallet.spend(NodeIndex{2, 1}, bank.public_key(), rng, {}));
+    spends.push_back(spends[1]);  // the hiding coin again
+    spends.emplace_back(
+        wallet.spend_hiding(NodeIndex{2, 3}, bank.public_key(), rng, {}));
+    return spends;
+  };
+  const std::vector<DepositSpend> spends1 = build(batch_bank, w1);
+  const std::vector<DepositSpend> spends2 = build(serial_bank, w2);
+  const auto batch = settle_batch(batch_bank, spends1);
+  ASSERT_EQ(batch.size(), spends1.size());
+  for (std::size_t i = 0; i < spends2.size(); ++i) {
     const auto single = serial_bank.deposit(spends2[i]);
     EXPECT_EQ(batch[i].accepted(), single.accepted()) << "spend " << i;
+    EXPECT_EQ(batch[i].errc, single.errc) << "spend " << i;
     EXPECT_EQ(batch[i].value, single.value) << "spend " << i;
   }
+  EXPECT_FALSE(batch[3].accepted());
+  EXPECT_EQ(batch[3].errc, MarketErrc::kDoubleSpend);
   EXPECT_EQ(batch_bank.recorded_serials(), serial_bank.recorded_serials());
 }
 

@@ -34,4 +34,12 @@ inline DecWallet make_funded_wallet(DecBank& bank, std::uint64_t seed) {
   return wallet;
 }
 
+/// verify_batch's argument: the address of every spend, in order.
+inline std::vector<const DepositSpend*> members_of(
+    const std::vector<DepositSpend>& spends) {
+  std::vector<const DepositSpend*> out;
+  for (const DepositSpend& spend : spends) out.push_back(&spend);
+  return out;
+}
+
 }  // namespace ppms::testing

@@ -152,7 +152,7 @@ TEST(RootHidingBankTest, DepositCreditsValue) {
   SecureRandom rng(121);
   const RootHidingSpend spend = fx.wallet.spend_hiding(
       NodeIndex{1, 0}, fx.bank->public_key(), rng, {});
-  const auto result = fx.bank->deposit_hiding(spend);
+  const auto result = fx.bank->deposit(spend);
   EXPECT_TRUE(result.accepted()) << result.reason;
   EXPECT_EQ(result.value, 4u);
 }
@@ -165,8 +165,8 @@ TEST(RootHidingBankTest, SameNodeTwiceRejected) {
   const auto s2 = fx.wallet.spend_hiding(NodeIndex{2, 1},
                                          fx.bank->public_key(), rng,
                                          bytes_of("other"));
-  EXPECT_TRUE(fx.bank->deposit_hiding(s1).accepted());
-  EXPECT_FALSE(fx.bank->deposit_hiding(s2).accepted());
+  EXPECT_TRUE(fx.bank->deposit(s1).accepted());
+  EXPECT_FALSE(fx.bank->deposit(s2).accepted());
 }
 
 TEST(RootHidingBankTest, ConflictsWithRegularSpendOfAncestor) {
@@ -177,7 +177,7 @@ TEST(RootHidingBankTest, ConflictsWithRegularSpendOfAncestor) {
   const RootHidingSpend leaf = fx.wallet.spend_hiding(
       NodeIndex{3, 1}, fx.bank->public_key(), rng, {});
   EXPECT_TRUE(fx.bank->deposit(ancestor).accepted());
-  EXPECT_FALSE(fx.bank->deposit_hiding(leaf).accepted());
+  EXPECT_FALSE(fx.bank->deposit(leaf).accepted());
 }
 
 TEST(RootHidingBankTest, ConflictsWithWholeCoinSpend) {
@@ -190,7 +190,7 @@ TEST(RootHidingBankTest, ConflictsWithWholeCoinSpend) {
   const RootHidingSpend child = fx.wallet.spend_hiding(
       NodeIndex{2, 3}, fx.bank->public_key(), rng, {});
   EXPECT_TRUE(fx.bank->deposit(root).accepted());
-  EXPECT_FALSE(fx.bank->deposit_hiding(child).accepted());
+  EXPECT_FALSE(fx.bank->deposit(child).accepted());
 }
 
 TEST(RootHidingBankTest, WholeCoinAfterHidingSpendRejected) {
@@ -200,7 +200,7 @@ TEST(RootHidingBankTest, WholeCoinAfterHidingSpendRejected) {
       NodeIndex{3, 7}, fx.bank->public_key(), rng, {});
   const SpendBundle root =
       fx.wallet.spend(NodeIndex{0, 0}, fx.bank->public_key(), rng, {});
-  EXPECT_TRUE(fx.bank->deposit_hiding(child).accepted());
+  EXPECT_TRUE(fx.bank->deposit(child).accepted());
   const auto result = fx.bank->deposit(root);
   EXPECT_FALSE(result.accepted());
 }
@@ -213,8 +213,8 @@ TEST(RootHidingBankTest, DisjointSubtreesBothAccepted) {
   const auto right = fx.wallet.spend_hiding(NodeIndex{1, 1},
                                             fx.bank->public_key(), rng,
                                             {});
-  EXPECT_TRUE(fx.bank->deposit_hiding(left).accepted());
-  EXPECT_TRUE(fx.bank->deposit_hiding(right).accepted());
+  EXPECT_TRUE(fx.bank->deposit(left).accepted());
+  EXPECT_TRUE(fx.bank->deposit(right).accepted());
 }
 
 TEST(RootHidingBankTest, MixedRegularAndHidingAcrossSubtrees) {
@@ -226,7 +226,7 @@ TEST(RootHidingBankTest, MixedRegularAndHidingAcrossSubtrees) {
   const RootHidingSpend right_leaf = fx.wallet.spend_hiding(
       NodeIndex{3, 6}, fx.bank->public_key(), rng, {});
   EXPECT_TRUE(fx.bank->deposit(left).accepted());
-  EXPECT_TRUE(fx.bank->deposit_hiding(right_leaf).accepted());
+  EXPECT_TRUE(fx.bank->deposit(right_leaf).accepted());
 }
 
 }  // namespace

@@ -3,22 +3,24 @@
 // and then checks each member's proof against its precomputed statement.
 // Member by member it must return exactly what the single verifiers
 // return, on mixed batches of valid and broken regular and root-hiding
-// spends — with the lane kernels on and forced off.
+// spends interleaved in input order — with the lane kernels on and forced
+// off.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "bigint/simd.h"
 #include "dec/bank.h"
 #include "dec_fixture.h"
-#include "util/thread_pool.h"
 
 namespace ppms {
 namespace {
 
 using testing::make_bank;
 using testing::make_funded_wallet;
+using testing::members_of;
 
 enum class Kind {
   kValid,
@@ -30,13 +32,10 @@ enum class Kind {
   kHidingForged,
 };
 
-struct Members {
-  std::vector<RootHidingSpend> hiding;
-  std::vector<SpendBundle> spends;
-};
-
-// The first n members of a fixed cycle of kinds, spread over two wallets.
-Members build(DecBank& bank, std::size_t n, std::uint64_t seed) {
+// The first n members of a fixed cycle of kinds, spread over two wallets;
+// hiding and regular members interleave.
+std::vector<DepositSpend> build(DecBank& bank, std::size_t n,
+                                std::uint64_t seed) {
   static const Kind kCycle[] = {Kind::kValid,       Kind::kHiding,
                                 Kind::kFlippedProof, Kind::kForgedCert,
                                 Kind::kValid,       Kind::kUnitV,
@@ -46,7 +45,7 @@ Members build(DecBank& bank, std::size_t n, std::uint64_t seed) {
   SecureRandom rng(seed + 2);
   const Bigint& p = bank.params().pairing.p;
   const ClPublicKey& pk = bank.public_key();
-  Members m;
+  std::vector<DepositSpend> m;
   for (std::size_t i = 0; i < n; ++i) {
     const DecWallet& w = i % 2 == 0 ? w1 : w2;
     const NodeIndex node{3, i % 8};
@@ -58,7 +57,7 @@ Members build(DecBank& bank, std::size_t n, std::uint64_t seed) {
         RootHidingSpend s = w.spend_hiding(node, pk, rng, {});
         if (kind == Kind::kHidingFlipped) s.gt_commitments[0].back() ^= 1;
         if (kind == Kind::kHidingForged) s.cert.c = ec_mul(s.cert.c, Bigint(3), p);
-        m.hiding.push_back(std::move(s));
+        m.emplace_back(std::move(s));
         break;
       }
       default: {
@@ -66,26 +65,29 @@ Members build(DecBank& bank, std::size_t n, std::uint64_t seed) {
         if (kind == Kind::kFlippedProof) s.proof.commitment2.back() ^= 1;
         if (kind == Kind::kForgedCert) s.cert.b = ec_mul(s.cert.b, Bigint(2), p);
         if (kind == Kind::kUnitV) s.cert.b = EcPoint::at_infinity();  // V = 1
-        m.spends.push_back(std::move(s));
+        m.emplace_back(std::move(s));
       }
     }
   }
   return m;
 }
 
-void expect_matches_single(const DecBank& bank, const Members& m,
+bool verify_single(const DecBank& bank, const DepositSpend& spend) {
+  if (const auto* hiding = std::get_if<RootHidingSpend>(&spend)) {
+    return verify_root_hiding_spend(bank.params(), bank.public_key(),
+                                    *hiding);
+  }
+  return verify_spend(bank.params(), bank.public_key(),
+                      std::get<SpendBundle>(spend));
+}
+
+void expect_matches_single(const DecBank& bank,
+                           const std::vector<DepositSpend>& m,
                            const std::vector<bool>& got,
                            const std::string& label) {
-  ASSERT_EQ(got.size(), m.hiding.size() + m.spends.size()) << label;
-  for (std::size_t i = 0; i < m.hiding.size(); ++i) {
-    EXPECT_EQ(got[i], verify_root_hiding_spend(bank.params(),
-                                               bank.public_key(), m.hiding[i]))
-        << label << " hiding " << i;
-  }
-  for (std::size_t i = 0; i < m.spends.size(); ++i) {
-    EXPECT_EQ(got[m.hiding.size() + i],
-              verify_spend(bank.params(), bank.public_key(), m.spends[i]))
-        << label << " spend " << i;
+  ASSERT_EQ(got.size(), m.size()) << label;
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    EXPECT_EQ(got[i], verify_single(bank, m[i])) << label << " member " << i;
   }
 }
 
@@ -104,8 +106,8 @@ class VerifyBatchEquivalence : public ::testing::TestWithParam<bool> {
 TEST_P(VerifyBatchEquivalence, MixedBatchesMatchSingleVerifiers) {
   DecBank bank = make_bank(7400);
   for (const std::size_t n : {1, 2, 23}) {
-    const Members m = build(bank, n, 7401 + 10 * n);
-    const std::vector<bool> got = bank.verify_batch(m.hiding, m.spends);
+    const std::vector<DepositSpend> m = build(bank, n, 7401 + 10 * n);
+    const std::vector<bool> got = bank.verify_batch(members_of(m));
     expect_matches_single(bank, m, got, "n=" + std::to_string(n));
     if (n == 23) {
       std::size_t accepted = 0;
@@ -115,18 +117,18 @@ TEST_P(VerifyBatchEquivalence, MixedBatchesMatchSingleVerifiers) {
   }
 }
 
-TEST_P(VerifyBatchEquivalence, MalformedMemberAndPoolAgree) {
+TEST_P(VerifyBatchEquivalence, MalformedMemberIsDecidedAlone) {
   // A certificate point off the curve skips the batched product (every
-  // certificate is then decided alone) and gets no precomputed statement;
-  // the pool path fans out only the per-spend remainder.
+  // certificate is then decided alone) and gets no precomputed statement.
   DecBank bank = make_bank(7410);
-  Members m = build(bank, 6, 7411);
-  m.spends[1].cert.a.x = m.spends[1].cert.a.x + Bigint(1);
-  const std::vector<bool> inline_flags = bank.verify_batch(m.hiding, m.spends);
-  expect_matches_single(bank, m, inline_flags, "inline");
-  EXPECT_FALSE(inline_flags[m.hiding.size() + 1]);
-  ThreadPool pool(2);
-  EXPECT_EQ(bank.verify_batch(m.hiding, m.spends, &pool), inline_flags);
+  std::vector<DepositSpend> m = build(bank, 6, 7411);
+  EcPoint& a = std::get<SpendBundle>(m[2]).cert.a;  // a flipped-proof member
+  a.x = a.x + Bigint(1);
+  const std::vector<bool> flags = bank.verify_batch(members_of(m));
+  expect_matches_single(bank, m, flags, "malformed");
+  EXPECT_FALSE(flags[2]);
+  EXPECT_TRUE(flags[0]);
+  EXPECT_TRUE(flags[1]);
 }
 
 INSTANTIATE_TEST_SUITE_P(Simd, VerifyBatchEquivalence,

@@ -82,9 +82,10 @@ struct DecRunResult {
 };
 
 DecRunResult run_dec_rounds(double rate, std::uint64_t fault_seed,
-                            int rounds) {
+                            int rounds, bool hide_roots = false) {
   PpmsDecConfig config;
   config.rsa_bits = 1024;
+  config.hide_roots = hide_roots;
   if (rate > 0) {
     config.faults = chaos_plan(rate, fault_seed);
     config.retry = chaos_retry();
@@ -110,26 +111,32 @@ DecRunResult run_dec_rounds(double rate, std::uint64_t fault_seed,
 }
 
 TEST(ChaosDecTest, RoundsCompleteAndLedgerMatchesLosslessTwin) {
+  // With hide_roots, every coin below the root is a root-hiding spend, so
+  // both spend kinds travel the faulty transport's per-coin deposit.
   constexpr int kRounds = 3;
-  const DecRunResult lossless = run_dec_rounds(0.0, 0, kRounds);
-  for (const double rate : {0.05, 0.2}) {
-    SCOPED_TRACE(rate);
-    const DecRunResult faulty = run_dec_rounds(rate, 701, kRounds);
-    // Exact settlement: every SP holds exactly its payment, every JO paid
-    // exactly the 2^L withdrawal — a single double-credited retry would
-    // break either side of this.
-    for (int i = 0; i < kRounds; ++i) {
-      const std::uint64_t payment = 3 + static_cast<std::uint64_t>(i % 3);
-      EXPECT_EQ(faulty.balances.at("sp-" + std::to_string(i)),
-                static_cast<std::int64_t>(payment));
-      EXPECT_EQ(faulty.balances.at("jo-" + std::to_string(i)),
-                static_cast<std::int64_t>(
-                    PpmsDecConfig{}.initial_balance) - 8);
+  for (const bool hide_roots : {false, true}) {
+    SCOPED_TRACE(hide_roots ? "hide_roots" : "regular");
+    const DecRunResult lossless = run_dec_rounds(0.0, 0, kRounds, hide_roots);
+    for (const double rate : {0.05, 0.2}) {
+      SCOPED_TRACE(rate);
+      const DecRunResult faulty =
+          run_dec_rounds(rate, 701, kRounds, hide_roots);
+      // Exact settlement: every SP holds exactly its payment, every JO
+      // paid exactly the 2^L withdrawal — a single double-credited retry
+      // would break either side of this.
+      for (int i = 0; i < kRounds; ++i) {
+        const std::uint64_t payment = 3 + static_cast<std::uint64_t>(i % 3);
+        EXPECT_EQ(faulty.balances.at("sp-" + std::to_string(i)),
+                  static_cast<std::int64_t>(payment));
+        EXPECT_EQ(faulty.balances.at("jo-" + std::to_string(i)),
+                  static_cast<std::int64_t>(
+                      PpmsDecConfig{}.initial_balance) - 8);
+      }
+      // The faulty ledger lands on the same balances as the lossless twin.
+      EXPECT_EQ(faulty.balances, lossless.balances);
+      // Retries are real traffic: the faulty run moved more messages.
+      EXPECT_GT(faulty.messages, lossless.messages);
     }
-    // The faulty ledger lands on the same balances as the lossless twin.
-    EXPECT_EQ(faulty.balances, lossless.balances);
-    // Retries are real traffic: the faulty run moved more messages.
-    EXPECT_GT(faulty.messages, lossless.messages);
   }
 }
 

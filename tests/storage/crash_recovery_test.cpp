@@ -97,7 +97,7 @@ Scenario run_scenario(const std::string& dir) {
       w2.spend_hiding(NodeIndex{1, 0}, bank.public_key(), rng, ctx);
   {
     storage::JournalScope txn(&ledger.journal());
-    const SettleOutcome res = bank.deposit_hiding(hs);
+    const SettleOutcome res = bank.deposit(hs);
     EXPECT_TRUE(res.accepted()) << res.reason;
     vbank.credit(b, res.value, 4);
     idem.record(bytes_of("env-2"), res.serialize());
