@@ -22,6 +22,9 @@ ClPublicKey ClPublicKey::deserialize(const TypeAParams& params,
   pk.X = ec_deserialize(r.get_bytes(), params.p);
   pk.Y = ec_deserialize(r.get_bytes(), params.p);
   if (!r.exhausted()) throw std::invalid_argument("ClPublicKey: trailing");
+  if (!typea_in_subgroup(params, {pk.X, pk.Y})) {
+    throw std::invalid_argument("ClPublicKey: key point outside G");
+  }
   return pk;
 }
 
@@ -94,19 +97,22 @@ ClSignature cl_sign_committed(const TypeAParams& params,
 
 namespace {
 
-// Verification core shared by cl_verify and the batch fallback; op
-// counters live in the public entry points. Each CL equation is one
-// product of pairings: combining the Miller values before the (single)
-// final exponentiation is exact, and u·v⁻¹ == 1 in F_p² iff u == v, so
-// the accept/reject decision matches the independent-pairing form.
+// a ≠ ∞ and every signature point on the curve: the checks both verifiers
+// make before the subgroup ladder and any pairing.
+bool sig_on_curve(const TypeAParams& params, const ClSignature& sig) {
+  return !sig.a.infinity && ec_on_curve(sig.a, params.p) &&
+         ec_on_curve(sig.b, params.p) && ec_on_curve(sig.c, params.p);
+}
+
+// The pairing equations, shared by cl_verify and the batch fallback, for
+// a signature already known to be on the curve and in G; op counters live
+// in the public entry points. Each CL equation is one product of
+// pairings: combining the Miller values before the (single) final
+// exponentiation is exact, and u·v⁻¹ == 1 in F_p² iff u == v, so the
+// accept/reject decision matches the independent-pairing form.
 bool cl_verify_core(const TypeAParams& params, const PairingEngine& engine,
                     const ClPublicKey& pk, const Bigint& m,
                     const ClSignature& sig) {
-  if (sig.a.infinity) return false;
-  if (!ec_on_curve(sig.a, params.p) || !ec_on_curve(sig.b, params.p) ||
-      !ec_on_curve(sig.c, params.p)) {
-    return false;
-  }
   const Bigint mr = m.mod(params.r);
   // ê(a, Y) · ê(g, b)⁻¹ == 1
   if (!fp2_is_one(engine.pair_product({
@@ -132,6 +138,15 @@ bool cl_verify(const TypeAParams& params, const ClPublicKey& pk,
   if (!op_counting_paused()) obs_dec.add();
   static obs::Histogram& obs_lat = obs::histogram("crypto.cl.verify");
   obs::ScopedTimer obs_timer(obs_lat);
+  // Outside G the two equations are not the batch verifier's: a cofactor
+  // component of a changes the Miller function of ê(a, Y), while the batch
+  // orients a into the second slot. So points outside G fail here, key
+  // points included, exactly as cl_verify_batch fails them.
+  if (!sig_on_curve(params, sig) || !ec_on_curve(pk.X, params.p) ||
+      !ec_on_curve(pk.Y, params.p) ||
+      !typea_in_subgroup(params, {sig.a, sig.b, sig.c, pk.X, pk.Y})) {
+    return false;
+  }
   const PairingEngine engine(params);
   return cl_verify_core(params, engine, pk, m, sig);
 }
@@ -139,9 +154,9 @@ bool cl_verify(const TypeAParams& params, const ClPublicKey& pk,
 ClSignature cl_randomize(const TypeAParams& params, const ClSignature& sig,
                          SecureRandom& rng) {
   const Bigint rho = Bigint::random_range(rng, Bigint(1), params.r);
-  return ClSignature{ec_mul(sig.a, rho, params.p),
-                     ec_mul(sig.b, rho, params.p),
-                     ec_mul(sig.c, rho, params.p)};
+  const std::vector<EcPoint> out =
+      ec_mul_many({sig.a, sig.b, sig.c}, rho, params.p);
+  return ClSignature{out[0], out[1], out[2]};
 }
 
 Bigint batch_scalar(SecureRandom& rng, const Bigint& r) {
@@ -163,13 +178,6 @@ std::vector<bool> cl_verify_batch(const TypeAParams& params,
   if (items.empty()) return {};
 
   const PairingEngine engine(params);
-  const auto fallback = [&] {
-    std::vector<bool> ok(items.size());
-    for (std::size_t j = 0; j < items.size(); ++j) {
-      ok[j] = cl_verify_core(params, engine, pk, items[j].m, items[j].sig);
-    }
-    return ok;
-  };
 
   // Fixed-argument tables for the three constant first points; the batch
   // orients every pairing constant-first (the pairing is symmetric on the
@@ -181,17 +189,40 @@ std::vector<bool> cl_verify_batch(const TypeAParams& params,
     pre_x = engine.precompute(pk.X);
     pre_y = engine.precompute(pk.Y);
   } catch (const std::invalid_argument&) {
-    return std::vector<bool>(items.size(), false);  // pk off-curve
+    return std::vector<bool>(items.size(), false);  // pk off-curve or ∉ G
   }
+
+  // Every member's points go through one lockstep [r] ladder; a member off
+  // the curve or outside G fails here, as it does in cl_verify.
+  std::vector<EcPoint> pts;
+  pts.reserve(3 * items.size());
+  for (const ClBatchItem& item : items) {
+    pts.insert(pts.end(), {item.sig.a, item.sig.b, item.sig.c});
+  }
+  const std::vector<EcPoint> rpts = ec_mul_many(pts, params.r, params.p);
+  std::vector<bool> well(items.size());
+  bool all_well = true;
+  for (std::size_t j = 0; j < items.size(); ++j) {
+    well[j] = sig_on_curve(params, items[j].sig) && rpts[3 * j].infinity &&
+              rpts[3 * j + 1].infinity && rpts[3 * j + 2].infinity;
+    all_well = all_well && well[j];
+  }
+  const auto fallback = [&] {
+    std::vector<bool> ok(items.size());
+    for (std::size_t j = 0; j < items.size(); ++j) {
+      ok[j] = well[j] &&
+              cl_verify_core(params, engine, pk, items[j].m, items[j].sig);
+    }
+    return ok;
+  };
+  // A malformed member cannot enter the folded product: identify it
+  // per-signature.
+  if (!all_well) return fallback();
 
   std::vector<PairingTerm> terms;
   terms.reserve(items.size() * 5);
   for (const ClBatchItem& item : items) {
     const ClSignature& sig = item.sig;
-    if (sig.a.infinity || !ec_on_curve(sig.a, params.p) ||
-        !ec_on_curve(sig.b, params.p) || !ec_on_curve(sig.c, params.p)) {
-      return fallback();  // malformed member: identify it per-signature
-    }
     // Independent scalars per equation: a shared δ would let an adversary
     // cancel an error in one equation against the other. Scalars below
     // min(r, 2^64) keep a wrong product's survival chance at

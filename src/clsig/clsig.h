@@ -28,6 +28,8 @@ struct ClPublicKey {
   EcPoint X, Y;
 
   Bytes serialize(const TypeAParams& params) const;
+  /// Accepts only canonical on-curve points of the order-r subgroup G
+  /// (std::invalid_argument otherwise).
   static ClPublicKey deserialize(const TypeAParams& params,
                                  const Bytes& data);
 };
@@ -58,11 +60,14 @@ ClSignature cl_sign_committed(const TypeAParams& params,
                               SecureRandom& rng);
 
 /// Verify signature on m (counted as Dec): ê(a,Y) == ê(g,b) and
-/// ê(X,a)·ê(X,b)^m == ê(g,c).
+/// ê(X,a)·ê(X,b)^m == ê(g,c). False when a is infinity or any of a, b, c,
+/// X, Y is off the curve or outside G (one lockstep [r] ladder over the
+/// five points).
 bool cl_verify(const TypeAParams& params, const ClPublicKey& pk,
                const Bigint& m, const ClSignature& sig);
 
-/// Re-randomize into an unlinkable but equally valid signature.
+/// Re-randomize into an unlinkable but equally valid signature: one
+/// lockstep ec_mul_many of (a, b, c) by a fresh ρ.
 ClSignature cl_randomize(const TypeAParams& params, const ClSignature& sig,
                          SecureRandom& rng);
 
@@ -87,7 +92,9 @@ Bigint batch_scalar(SecureRandom& rng, const Bigint& r);
 ///          [ê(X,a_j)·ê(X,b_j)^{m_j}·ê(g,c_j)⁻¹]^{δ'_j}  ==  1
 /// with independent per-equation scalars δ, δ' from batch_scalar on the
 /// verifier's own stream — a forged batch passes with probability at
-/// most 1/(min(r, 2^64) − 1). On reject it falls back to per-signature
+/// most 1/(min(r, 2^64) − 1). One lockstep [r] ladder over every member's
+/// points precedes the product, and a key off the curve or outside G
+/// fails every member. On reject it falls back to per-signature
 /// verification, so the returned flags always match cl_verify exactly;
 /// the fast path only ever accelerates the all-valid case.
 std::vector<bool> cl_verify_batch(const TypeAParams& params,

@@ -44,7 +44,7 @@ std::optional<ClSignature> DecBank::withdraw(const EcPoint& commitment,
                                              SecureRandom& rng) {
   const EcGroup ec(params_.pairing);
   const Bytes m = ec.encode(commitment);
-  if (!ec.contains(m)) return std::nullopt;
+  // schnorr_verify checks ec.contains(m) itself.
   if (!schnorr_verify(ec, ec.generator(), m, pok, context)) {
     return std::nullopt;
   }

@@ -50,7 +50,8 @@ struct DecParams {
 
   /// Load and structurally validate persisted parameters: chain relation
   /// o_{i+1} = 2·o_i + 1, primality of every chain element, pairing
-  /// cofactor relation, tower moduli/orders and generator orders. Throws
+  /// cofactor relation (r·h = p + 1 with r ∤ h, from TypeAParams),
+  /// tower moduli/orders and generator orders. Throws
   /// std::invalid_argument on any inconsistency, so a tampered parameter
   /// file cannot produce a subtly broken market.
   static DecParams deserialize(const Bytes& data, SecureRandom& rng);

@@ -21,7 +21,7 @@ std::shared_ptr<const ClPkPrecomp> DecSession::pk_tables(
     built->Y = engine().precompute(pk.Y);
     tables = std::move(built);
   } catch (const std::invalid_argument&) {
-    tables = nullptr;  // off-curve key: cache the rejection too
+    tables = nullptr;  // key off the curve or outside G: cache that too
   }
   pk_cache_.emplace(std::move(key), tables);
   return tables;

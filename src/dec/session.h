@@ -38,7 +38,7 @@ class DecSession {
 
   /// Miller tables for a bank public key, built on first use and cached
   /// by key bytes (a market sees one bank key, adversarial tests a few).
-  /// Returns null if either key point is off-curve.
+  /// Returns null if either key point is off the curve or outside G.
   std::shared_ptr<const ClPkPrecomp> pk_tables(const ClPublicKey& pk) const;
 
  private:

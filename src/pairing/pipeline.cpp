@@ -450,6 +450,9 @@ PairingPrecomp PairingEngine::precompute(const EcPoint& P) const {
   if (!ec_on_curve(P, params_.p)) {
     throw std::invalid_argument("PairingEngine: precomp point not on curve");
   }
+  if (!typea_in_subgroup(params_, {P})) {
+    throw std::invalid_argument("PairingEngine: precomp point not in G");
+  }
   PairingPrecomp pre;
   pre.point_ = P;
   pre.built_ = true;

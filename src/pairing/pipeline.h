@@ -97,9 +97,10 @@ class PairingEngine {
   const TypeAParams& params() const { return params_; }
 
   /// Compile the Miller line table for fixed first argument P. Validates
-  /// P on-curve once (std::invalid_argument otherwise); the table costs
-  /// about one Miller loop to build and pays for itself after roughly two
-  /// pairings against it.
+  /// once that P is on the curve and in the order-r subgroup G
+  /// (std::invalid_argument otherwise); the table costs about one Miller
+  /// loop to build and pays for itself after roughly two pairings against
+  /// it.
   PairingPrecomp precompute(const EcPoint& P) const;
 
   /// ê(P, Q), bit-identical to tate_pairing_affine.

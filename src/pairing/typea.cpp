@@ -29,6 +29,11 @@ TypeAParams TypeAParams::deserialize(const Bytes& data) {
   if (params.r * params.h != params.p + Bigint(1)) {
     throw std::invalid_argument("TypeAParams: r*h != p+1");
   }
+  // r | h would put elements of order r² in E(F_p) and break the
+  // coprime-cofactor argument the deposit path's pairings rely on.
+  if (params.h.mod(params.r).is_zero()) {
+    throw std::invalid_argument("TypeAParams: r divides h");
+  }
   return params;
 }
 
@@ -61,8 +66,10 @@ TypeAParams typea_generate_for_order(SecureRandom& rng, const Bigint& r,
   }
   const std::size_t hbits = pbits - r.bit_length();
   for (;;) {
-    // h = 4m keeps p = r*h - 1 ≡ 3 (mod 4) since r is odd.
+    // h = 4m keeps p = r*h - 1 ≡ 3 (mod 4) since r is odd; r ∤ m keeps
+    // the cofactor coprime to r.
     const Bigint m = Bigint::random_bits(rng, hbits - 2);
+    if (m.mod(r).is_zero()) continue;
     const Bigint h = m * Bigint(4);
     const Bigint p = r * h - Bigint(1);
     if (p.bit_length() != pbits) continue;
@@ -80,6 +87,14 @@ TypeAParams typea_generate(SecureRandom& rng, std::size_t rbits,
                            std::size_t pbits) {
   const Bigint r = random_prime(rng, rbits);
   return typea_generate_for_order(rng, r, pbits);
+}
+
+bool typea_in_subgroup(const TypeAParams& params,
+                       const std::vector<EcPoint>& points) {
+  for (const EcPoint& q : ec_mul_many(points, params.r, params.p)) {
+    if (!q.infinity) return false;
+  }
+  return true;
 }
 
 EcPoint typea_random_subgroup_point(const TypeAParams& params,

@@ -15,11 +15,12 @@ namespace ppms {
 struct TypeAParams {
   Bigint p;   ///< field prime, p ≡ 3 (mod 4)
   Bigint r;   ///< prime group order, r | p + 1
-  Bigint h;   ///< cofactor, p + 1 = r·h, 4 | h
+  Bigint h;   ///< cofactor, p + 1 = r·h, 4 | h, r ∤ h
   EcPoint g;  ///< generator of the order-r subgroup
 
   /// Canonical serialization for publishing in market setup messages.
   Bytes serialize() const;
+  /// Rejects (std::invalid_argument) r·h != p + 1 and r | h.
   static TypeAParams deserialize(const Bytes& data);
 };
 
@@ -33,6 +34,13 @@ TypeAParams typea_generate(SecureRandom& rng, std::size_t rbits,
 /// wallet secrets live in the same exponent group as coin serials).
 TypeAParams typea_generate_for_order(SecureRandom& rng, const Bigint& r,
                                      std::size_t pbits);
+
+/// True when every point lies in the order-r subgroup G (infinity
+/// included): one lockstep ec_mul_many by r over all of them. With r ∤ h,
+/// a point outside G carries a component of order prime to r, which
+/// changes the Miller function of a pairing that takes it first.
+bool typea_in_subgroup(const TypeAParams& params,
+                       const std::vector<EcPoint>& points);
 
 /// Uniform point in the order-r subgroup (cofactor-multiplied); never
 /// infinity.

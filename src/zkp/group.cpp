@@ -156,30 +156,6 @@ Bytes EcGroup::pow(const Bytes& base, const Bigint& exp) const {
   return encode(ec_mul(decode(base), exp.mod(params_.r), params_.p));
 }
 
-Bytes EcGroup::pow2(const Bytes& base1, const Bigint& e1, const Bytes& base2,
-                    const Bigint& e2) const {
-  const Bigint ea = e1.mod(params_.r);
-  const Bigint eb = e2.mod(params_.r);
-  const EcPoint a = decode(base1);
-  const EcPoint b = decode(base2);
-  const EcPoint ab = ec_add(a, b, params_.p);
-  EcPoint acc = EcPoint::at_infinity();
-  const std::size_t bits = std::max(ea.bit_length(), eb.bit_length());
-  for (std::size_t i = bits; i-- > 0;) {
-    acc = ec_add(acc, acc, params_.p);
-    const bool ba = ea.bit(i);
-    const bool bb = eb.bit(i);
-    if (ba && bb) {
-      acc = ec_add(acc, ab, params_.p);
-    } else if (ba) {
-      acc = ec_add(acc, a, params_.p);
-    } else if (bb) {
-      acc = ec_add(acc, b, params_.p);
-    }
-  }
-  return encode(acc);
-}
-
 Bytes EcGroup::inv(const Bytes& a) const {
   return encode(ec_neg(decode(a), params_.p));
 }

@@ -39,9 +39,9 @@ class Group {
   virtual Bytes pow(const Bytes& base, const Bigint& exp) const = 0;
 
   /// Simultaneous double exponentiation base1^e1 · base2^e2 (Shamir/Straus
-  /// interleaving in the concrete groups: one shared squaring chain instead
+  /// interleaving in ZnGroup and GtGroup: one shared squaring chain instead
   /// of two). This is the shape every sigma-protocol verification equation
-  /// reduces to; the default falls back to two pows and one op.
+  /// reduces to; the default, which EcGroup uses, is two pows and one op.
   virtual Bytes pow2(const Bytes& base1, const Bigint& e1,
                      const Bytes& base2, const Bigint& e2) const {
     return op(pow(base1, e1), pow(base2, e2));
@@ -126,8 +126,6 @@ class EcGroup final : public Group {
   Bytes identity() const override;
   Bytes op(const Bytes& a, const Bytes& b) const override;
   Bytes pow(const Bytes& base, const Bigint& exp) const override;
-  Bytes pow2(const Bytes& base1, const Bigint& e1, const Bytes& base2,
-             const Bigint& e2) const override;
   Bytes inv(const Bytes& a) const override;
   bool contains(const Bytes& a) const override;
   Bytes describe() const override;

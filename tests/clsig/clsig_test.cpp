@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "support/small_order.h"
+
 namespace ppms {
 namespace {
 
@@ -230,6 +232,60 @@ TEST(ClSigBatchTest, BatchAgreesWithPerSignatureVerdicts) {
               cl_verify(fx().params, fx().kp.pk, items[i].m, items[i].sig))
         << "item " << i;
   }
+}
+
+// A valid signature with a small-order component added to a, b or c lies
+// on the curve but outside G. Both verifiers must reject it, and the batch
+// must flag every member exactly as cl_verify does.
+TEST(ClSigSubgroupTest, CofactorComponentRejectedSingleAndBatch) {
+  const TypeAParams& prm = fx().params;
+  SecureRandom rng(30);
+  for (const EcPoint& t : testing::small_order_points(prm.p)) {
+    for (int slot = 0; slot < 3; ++slot) {
+      std::vector<ClBatchItem> items;
+      for (int i = 0; i < 3; ++i) {
+        const Bigint m = Bigint::random_below(rng, prm.r);
+        items.push_back({m, cl_sign(prm, fx().kp.sk, m, rng)});
+      }
+      ClSignature& bad = items[1].sig;
+      EcPoint& pt = slot == 0 ? bad.a : slot == 1 ? bad.b : bad.c;
+      pt = ec_add(pt, t, prm.p);
+      ASSERT_TRUE(ec_on_curve(pt, prm.p));
+      EXPECT_FALSE(cl_verify(prm, fx().kp.pk, items[1].m, bad))
+          << "slot " << slot;
+      const std::vector<bool> flags =
+          cl_verify_batch(prm, fx().kp.pk, items, rng);
+      ASSERT_EQ(flags.size(), items.size());
+      for (std::size_t j = 0; j < items.size(); ++j) {
+        EXPECT_EQ(flags[j],
+                  cl_verify(prm, fx().kp.pk, items[j].m, items[j].sig))
+            << "slot " << slot << " member " << j;
+      }
+      EXPECT_FALSE(flags[1]);
+      EXPECT_TRUE(flags[0]);
+    }
+  }
+}
+
+TEST(ClSigSubgroupTest, KeyWithCofactorComponentRejected) {
+  const TypeAParams& prm = fx().params;
+  SecureRandom rng(31);
+  const Bigint m = Bigint::random_below(rng, prm.r);
+  const ClSignature sig = cl_sign(prm, fx().kp.sk, m, rng);
+  for (const EcPoint& t : testing::small_order_points(prm.p)) {
+    for (const bool onX : {true, false}) {
+      ClPublicKey pk = fx().kp.pk;
+      EcPoint& pt = onX ? pk.X : pk.Y;
+      pt = ec_add(pt, t, prm.p);
+      EXPECT_THROW(ClPublicKey::deserialize(prm, pk.serialize(prm)),
+                   std::invalid_argument);
+      EXPECT_FALSE(cl_verify(prm, pk, m, sig));
+      EXPECT_EQ(cl_verify_batch(prm, pk, {{m, sig}}, rng),
+                std::vector<bool>{false});
+    }
+  }
+  EXPECT_EQ(ClPublicKey::deserialize(prm, fx().kp.pk.serialize(prm)).X,
+            fx().kp.pk.X);
 }
 
 }  // namespace

@@ -120,5 +120,31 @@ TEST(DecParamsSerde, TrailingBytesRejected) {
   EXPECT_THROW(DecParams::deserialize(data, rng), std::invalid_argument);
 }
 
+TEST(DecParamsSerde, OrderDividingCofactorRejected) {
+  // The published chain and r, but a field prime p = r·h - 1 with r | h.
+  // Every other check (chain, primality, p ≡ 3 mod 4, a generator of
+  // order r) still passes, so only the cofactor check can refuse it.
+  SecureRandom rng(10);
+  DecParams bad = dec_params();
+  const Bigint& r = bad.pairing.r;
+  Bigint h, p;
+  for (Bigint m(1);; m += Bigint(1)) {
+    h = r * Bigint(4) * m;
+    p = r * h - Bigint(1);
+    if (is_probable_prime(p, rng)) break;
+  }
+  EcPoint g = EcPoint::at_infinity();
+  while (g.infinity) g = ec_mul(ec_random_point(rng, p), h, p);
+  ASSERT_TRUE(ec_mul(g, r, p).infinity);
+  bad.pairing = TypeAParams{p, r, h, g};
+  try {
+    DecParams::deserialize(bad.serialize(), rng);
+    ADD_FAILURE() << "accepted r | h";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("r divides h"), std::string::npos)
+        << e.what();
+  }
+}
+
 }  // namespace
 }  // namespace ppms

@@ -13,7 +13,10 @@
 
 #include "bigint/simd.h"
 #include "dec/bank.h"
+#include "dec/session.h"
+#include "dec/spend.h"
 #include "dec_fixture.h"
+#include "support/small_order.h"
 
 namespace ppms {
 namespace {
@@ -129,6 +132,73 @@ TEST_P(VerifyBatchEquivalence, MalformedMemberIsDecidedAlone) {
   EXPECT_FALSE(flags[2]);
   EXPECT_TRUE(flags[0]);
   EXPECT_TRUE(flags[1]);
+}
+
+// Certificates carrying a small-order component (the deposit path does
+// not yet check certificate points for membership in G). Whatever
+// verify_spend decides for such a spend, verify_batch must decide the
+// same, both for a third party's malleation of a valid spend and for a
+// spender who re-randomized a certificate that carries the component.
+TEST_P(VerifyBatchEquivalence, CofactorComponentCertsMatchSingleVerifier) {
+  DecBank bank = make_bank(7420);
+  const DecParams& params = bank.params();
+  const Bigint& p = params.pairing.p;
+  const ClPublicKey& pk = bank.public_key();
+  SecureRandom rng(7421);
+  DecWallet w(params, rng);
+  const Bytes ctx = bytes_of("withdraw");
+  const auto issued = bank.withdraw(
+      w.commitment(), w.prove_commitment(rng, ctx), ctx, rng);
+  ASSERT_TRUE(issued.has_value());
+  w.set_certificate(pk, *issued);
+  std::vector<DepositSpend> m;
+  for (const EcPoint& t : testing::small_order_points(p)) {
+    for (int slot = 0; slot < 3; ++slot) {
+      const auto point = [slot](ClSignature& sig) -> EcPoint& {
+        return slot == 0 ? sig.a : slot == 1 ? sig.b : sig.c;
+      };
+      // Malleated in transit: the component is added after the proof.
+      SpendBundle mal = w.spend(NodeIndex{3, 0}, pk, rng, {});
+      point(mal.cert) = ec_add(point(mal.cert), t, p);
+      m.emplace_back(std::move(mal));
+      // Built by the spender from a certificate with the component, until
+      // the re-randomizing ρ keeps it.
+      ClSignature cert = *issued;
+      point(cert) = ec_add(point(cert), t, p);
+      for (;;) {
+        SpendBundle own = make_spend(params, pk, w.secret_for_testing(), cert,
+                                     NodeIndex{3, 1}, rng, {});
+        if (typea_in_subgroup(params.pairing, {point(own.cert)})) continue;
+        m.emplace_back(std::move(own));
+        break;
+      }
+    }
+  }
+  m.emplace_back(w.spend(NodeIndex{3, 2}, pk, rng, {}));
+  const std::vector<bool> flags = bank.verify_batch(members_of(m));
+  expect_matches_single(bank, m, flags, "cofactor components");
+  // Today's verdicts, until the deposit path checks certificate points
+  // for membership in G: the proof binds the certificate bytes, so a
+  // malleated spend fails; a component of order prime to r drops out of
+  // every second-slot pairing, so the spender's own certificate passes.
+  for (std::size_t i = 0; i + 1 < m.size(); ++i) {
+    EXPECT_EQ(flags[i], i % 2 == 1) << "member " << i;
+  }
+  EXPECT_TRUE(flags.back());
+}
+
+TEST(DecSessionSubgroup, KeyOutsideGHasNoTables) {
+  const DecBank bank = make_bank(7430);
+  const DecParams& params = bank.params();
+  EXPECT_NE(params.session().pk_tables(bank.public_key()), nullptr);
+  for (const EcPoint& t : testing::small_order_points(params.pairing.p)) {
+    ClPublicKey pk = bank.public_key();
+    pk.Y = ec_add(pk.Y, t, params.pairing.p);
+    EXPECT_EQ(params.session().pk_tables(pk), nullptr);
+    pk = bank.public_key();
+    pk.X = ec_add(pk.X, t, params.pairing.p);
+    EXPECT_EQ(params.session().pk_tables(pk), nullptr);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Simd, VerifyBatchEquivalence,

@@ -149,6 +149,29 @@ TEST(TypeAParamsTest, DeserializeChecksCofactorRelation) {
                std::invalid_argument);
 }
 
+TEST(TypeAParamsTest, DeserializeRejectsOrderDividingCofactor) {
+  // p = 199 = 5·40 - 1 is prime and 3 mod 4, but r = 5 divides h = 40.
+  SecureRandom rng(14);
+  const TypeAParams bad{Bigint(199), Bigint(5), Bigint(40),
+                        ec_random_point(rng, Bigint(199))};
+  EXPECT_THROW(TypeAParams::deserialize(bad.serialize()),
+               std::invalid_argument);
+  // The same shape with r ∤ h: p = 19 = 5·4 - 1.
+  const TypeAParams good{Bigint(19), Bigint(5), Bigint(4),
+                         ec_random_point(rng, Bigint(19))};
+  EXPECT_EQ(TypeAParams::deserialize(good.serialize()).h, Bigint(4));
+}
+
+TEST(TypeAParamsTest, GeneratedCofactorIsPrimeToOrder) {
+  // With r = 5 a random cofactor would be divisible by r one time in
+  // five; generation must redraw those.
+  SecureRandom rng(15);
+  for (int i = 0; i < 24; ++i) {
+    const TypeAParams prm = typea_generate_for_order(rng, Bigint(5), 24);
+    EXPECT_FALSE(prm.h.mod(prm.r).is_zero()) << "h = " << prm.h.to_decimal();
+  }
+}
+
 TEST(TypeAParamsTest, GenerateForOrderValidatesInput) {
   SecureRandom rng(12);
   EXPECT_THROW(typea_generate_for_order(rng, Bigint(4), 64),

@@ -224,6 +224,29 @@ TEST(EcGroupTest, Pow2MatchesTwoPows) {
   check_pow2(g, b1, b2, rng);
 }
 
+TEST(EcGroupTest, Pow2MatchesAffineOracle) {
+  SecureRandom rng(23);
+  const EcGroup g(params());
+  const Bigint& r = params().r;
+  const Bigint& p = params().p;
+  const EcPoint a = params().g;
+  const EcPoint b = typea_random_subgroup_point(params(), rng);
+  const std::vector<Bigint> exps = {Bigint(0), Bigint(1), r - Bigint(1),
+                                    r, Bigint(-5),
+                                    Bigint::random_below(rng, r),
+                                    Bigint::random_bits(rng, 2 * 48)};
+  for (const Bigint& e1 : exps) {
+    for (const Bigint& e2 : exps) {
+      const EcPoint want = ec_add(ec_mul_affine(a, e1.mod(r), p),
+                                  ec_mul_affine(b, e2.mod(r), p), p);
+      EXPECT_EQ(g.decode(g.pow2(g.encode(a), e1, g.encode(b), e2)), want);
+    }
+  }
+  // Equal bases: the sum doubles inside ec_add.
+  EXPECT_EQ(g.decode(g.pow2(g.encode(a), Bigint(3), g.encode(a), Bigint(3))),
+            ec_mul_affine(a, Bigint(6), p));
+}
+
 TEST(GtGroupTest, Pow2MatchesTwoPows) {
   SecureRandom rng(23);
   const GtGroup g(params());
