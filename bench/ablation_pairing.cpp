@@ -17,6 +17,9 @@
 //     455 bits): square-and-multiply in F_p² on the flat core (the engine's
 //     former chain) vs. the batched Lucas ladder at K = 1, 3, 23 outputs
 //     per call, reported per output.
+//   * the GT half of the verify remainder at the 512-bit field (A1 ∈ GT
+//     and V^z·W^(q−c) == A1): one member at a time vs. N members in one
+//     lockstep pass, N = 1 and 21, reported per coin.
 // Run with --benchmark_out=BENCH_ablation_pairing.json to regenerate the
 // committed artifact.
 #include <benchmark/benchmark.h>
@@ -28,9 +31,11 @@
 #include "bigint/limbs.h"
 #include "core/params.h"
 #include "dec/session.h"
+#include "dec/statement.h"
 #include "pairing/pipeline.h"
 #include "pairing/tate.h"
 #include "zkp/equality.h"
+#include "zkp/transcript.h"
 
 namespace {
 
@@ -465,6 +470,125 @@ void BM_Settle64Batched(benchmark::State& state) {
 BENCHMARK(BM_Settle64Batched)
     ->Unit(benchmark::kMillisecond)
     ->Name("A9/settle64/batched");
+
+// --- the verify remainder -------------------------------------------------
+
+// The GT half of the verify remainder at the benchmark's 512-bit field: for
+// each of 21 regular spends, the membership test A1 ∈ GT and the proof
+// equation V^z · W^(q−c) == A1, on the statements one engine call produced.
+// The rest of the remainder (structure checks, the Fiat–Shamir challenge,
+// the tower-group side) runs per member in both shapes and is left out.
+struct RemainderFixture {
+  DecParams params;
+  std::vector<Bytes> a1;                 // proof commitments A1
+  std::vector<Group::Pow2Job> jobs;      // (V, z, W, q − c)
+  std::vector<GtStatement> stmts;
+};
+
+const RemainderFixture& remainder_fx() {
+  static const RemainderFixture f = [] {
+    SecureRandom rng(940);
+    RemainderFixture out;
+    out.params = fast_dec_params(7, 4, 512);
+    DecBank bank(out.params, rng);
+    DecWallet wallet(out.params, rng);
+    const Bytes ctx = bytes_of("a9");
+    const auto cert = bank.withdraw(
+        wallet.commitment(), wallet.prove_commitment(rng, ctx), ctx, rng);
+    wallet.set_certificate(bank.public_key(), *cert);
+    std::vector<SpendBundle> spends;
+    std::vector<const ClSignature*> certs;
+    for (std::uint64_t i = 0; i < 21; ++i) {
+      spends.push_back(
+          wallet.spend(NodeIndex{4, i % 16}, bank.public_key(), rng, {}));
+    }
+    for (const SpendBundle& s : spends) certs.push_back(&s.cert);
+    CertBatch cb = verify_certs_with_statements(out.params, bank.public_key(),
+                                                certs, rng);
+    for (auto& st : cb.statements) out.stmts.push_back(std::move(*st));
+    // The equality proof's challenge, re-derived with the verifier's
+    // transcript layout (zkp/equality.cpp); a mismatch fails the flag
+    // check below.
+    const GtGroup& gt = out.params.session().gt();
+    const ZnGroup& g1 = out.params.tower[0];
+    const Bigint& q = gt.order();
+    for (std::size_t i = 0; i < spends.size(); ++i) {
+      const SpendBundle& s = spends[i];
+      Transcript t("ppms.zkp.equality");
+      t.absorb("group1", gt.describe());
+      t.absorb("g1", out.stmts[i].V);
+      t.absorb("y1", out.stmts[i].W);
+      t.absorb("group2", g1.describe());
+      t.absorb("g2", g1.generator());
+      t.absorb("y2", g1.encode(s.path_serials.front()));
+      t.absorb("A1", s.proof.commitment1);
+      t.absorb("A2", s.proof.commitment2);
+      t.absorb("context", spend_binding(out.params, s));
+      const Bigint c = t.challenge("c", q);
+      out.a1.push_back(s.proof.commitment1);
+      out.jobs.push_back({&out.stmts[i].V, s.proof.response,
+                          &out.stmts[i].W, (q - c).mod(q)});
+    }
+    return out;
+  }();
+  return f;
+}
+
+// Each of the first N members' A1 membership and left-hand side: one
+// member at a time (GtGroup::contains and pow2, each a batch of one, as a
+// one-coin deposit runs them), or all N in one lockstep pass.
+std::pair<std::vector<bool>, std::vector<Bytes>> remainder(
+    const RemainderFixture& f, std::size_t n, bool lockstep) {
+  const GtGroup& gt = f.params.session().gt();
+  if (lockstep) {
+    std::vector<const Bytes*> a1;
+    for (std::size_t i = 0; i < n; ++i) a1.push_back(&f.a1[i]);
+    return {gt.contains_many(a1),
+            gt.pow2_many({f.jobs.begin(),
+                          f.jobs.begin() + static_cast<std::ptrdiff_t>(n)})};
+  }
+  std::pair<std::vector<bool>, std::vector<Bytes>> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Group::Pow2Job& job = f.jobs[i];
+    out.first.push_back(gt.contains(f.a1[i]));
+    out.second.push_back(gt.pow2(*job.base1, job.e1, *job.base2, job.e2));
+  }
+  return out;
+}
+
+void BM_Remainder(benchmark::State& state, bool lockstep) {
+  const RemainderFixture& f = remainder_fx();
+  const auto n = static_cast<std::size_t>(state.range(0));
+  // Both shapes must find every A1 in GT and every equation holding
+  // before anything is timed.
+  const std::vector<Bytes> want(f.a1.begin(),
+                                f.a1.begin() + static_cast<std::ptrdiff_t>(n));
+  const auto alone = remainder(f, n, false);
+  const auto joint = remainder(f, n, true);
+  if (alone != joint || alone.first != std::vector<bool>(n, true) ||
+      alone.second != want) {
+    state.SkipWithError("remainder shapes disagree");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(remainder(f, n, lockstep));
+  }
+  state.counters["per_coin"] = benchmark::Counter(
+      static_cast<double>(n) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_Remainder, per_member, false)
+    ->Unit(benchmark::kMicrosecond)
+    ->ArgName("N")
+    ->Arg(1)
+    ->Arg(21)
+    ->Name("A9/remainder/per_member");
+BENCHMARK_CAPTURE(BM_Remainder, lockstep, true)
+    ->Unit(benchmark::kMicrosecond)
+    ->ArgName("N")
+    ->Arg(1)
+    ->Arg(21)
+    ->Name("A9/remainder/lockstep");
 
 }  // namespace
 

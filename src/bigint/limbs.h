@@ -26,6 +26,10 @@
 #include <memory>
 #include <vector>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 #include "bigint/bigint.h"
 
 namespace ppms {
@@ -81,6 +85,77 @@ void cios_mont_mul(Limb* r, const Limb* a, const Limb* b, const Limb* m,
 /// -m^{-1} mod 2^64 for odd m0 (Newton iteration).
 Limb neg_inverse(Limb m0);
 
+// One limb of a carry (borrow) chain: returns a + b + c (a - b - c) and
+// updates the carry (borrow) bit. On x86-64 these are the ADC/SBB
+// intrinsics, which keep the chain in the carry flag; elsewhere a
+// double-limb accumulator.
+inline Limb add_carry(Limb a, Limb b, unsigned char& c) {
+#if defined(__x86_64__)
+  unsigned long long r;
+  c = _addcarry_u64(c, a, b, &r);
+  return r;
+#else
+  const Dlimb sum = static_cast<Dlimb>(a) + b + c;
+  c = static_cast<unsigned char>(sum >> 64);
+  return static_cast<Limb>(sum);
+#endif
+}
+inline Limb sub_borrow(Limb a, Limb b, unsigned char& bw) {
+#if defined(__x86_64__)
+  unsigned long long r;
+  bw = _subborrow_u64(bw, a, b, &r);
+  return r;
+#else
+  const Dlimb dif = static_cast<Dlimb>(a) - b - bw;
+  bw = static_cast<unsigned char>((dif >> 64) & 1);
+  return static_cast<Limb>(dif);
+#endif
+}
+
+// Modular linear ops on reduced residues (r = a ± b mod m, r = -a mod m),
+// generic over the limb count like cios_mont_mul's core: FpCtx dispatches
+// the common widths (2, 4, 8 limbs) to instances with the trip counts
+// known, so the compiler unrolls the carry chains; N == 0 is the
+// variable-width fallback on n_rt limbs. Each op is a few straight carry
+// chains with the reduction applied as a masked addend of m — no
+// branch, and no select pass over two candidate results. r may alias a
+// or b: every limb is read before it is written.
+template <std::size_t N>
+inline void mod_add(Limb* r, const Limb* a, const Limb* b, const Limb* m,
+                    std::size_t n_rt) {
+  const std::size_t n = N == 0 ? n_rt : N;
+  Limb s[N == 0 ? kMaxFpLimbs : N];
+  unsigned char c = 0, bw = 0, c2 = 0;
+  for (std::size_t i = 0; i < n; ++i) s[i] = add_carry(a[i], b[i], c);
+  for (std::size_t i = 0; i < n; ++i) s[i] = sub_borrow(s[i], m[i], bw);
+  // a + b - m is the result unless the sum neither overflowed n limbs
+  // nor reached m (no carry, borrow): then add m back.
+  const Limb mask = 0 - static_cast<Limb>(bw & (c ^ 1));
+  for (std::size_t i = 0; i < n; ++i) r[i] = add_carry(s[i], m[i] & mask, c2);
+}
+
+template <std::size_t N>
+inline void mod_sub(Limb* r, const Limb* a, const Limb* b, const Limb* m,
+                    std::size_t n_rt) {
+  const std::size_t n = N == 0 ? n_rt : N;
+  Limb d[N == 0 ? kMaxFpLimbs : N];
+  unsigned char bw = 0, c = 0;
+  for (std::size_t i = 0; i < n; ++i) d[i] = sub_borrow(a[i], b[i], bw);
+  const Limb mask = 0 - static_cast<Limb>(bw);  // borrowed: add m back
+  for (std::size_t i = 0; i < n; ++i) r[i] = add_carry(d[i], m[i] & mask, c);
+}
+
+template <std::size_t N>
+inline void mod_neg(Limb* r, const Limb* a, const Limb* m, std::size_t n_rt) {
+  const std::size_t n = N == 0 ? n_rt : N;
+  Limb nz = 0;
+  for (std::size_t i = 0; i < n; ++i) nz |= a[i];
+  // m - a, or 0 - 0 for a = 0.
+  const Limb mask = 0 - static_cast<Limb>(nz != 0);
+  unsigned char bw = 0;
+  for (std::size_t i = 0; i < n; ++i) r[i] = sub_borrow(m[i] & mask, a[i], bw);
+}
+
 }  // namespace limb
 
 /// One residue mod the FpCtx modulus: a fixed-capacity stack array of which
@@ -126,12 +201,10 @@ class FpCtx {
 
   // Modular ring ops on reduced elements (linear ops are domain-agnostic;
   // mul/sqr are Montgomery products). Outputs may alias inputs. Defined
-  // inline: at pairing widths (2–4 limbs) these are a handful of
-  // instructions, and the call into three limb kernels (add_n + cmp_n +
-  // sub_n) costs more than the arithmetic — the Miller-loop profile is
-  // dominated by them once the products are lane-batched. One fused pass
-  // computes both the raw result and its modulus-adjusted sibling, then a
-  // mask picks the reduced one; temporaries make aliasing trivially safe.
+  // inline over limb::mod_add/mod_sub/mod_neg: at pairing widths (2–8
+  // limbs) these are a handful of instructions, and the call into three
+  // limb kernels (add_n + cmp_n + sub_n) costs more than the arithmetic —
+  // every lane batch waits on them once its products are lane-batched.
   void add(FpElem& r, const FpElem& a, const FpElem& b) const {
     add_raw(r.v.data(), a.v.data(), b.v.data());
   }
@@ -146,54 +219,28 @@ class FpCtx {
   // scratch, line tables). Each array holds limbs() limbs; outputs may
   // alias inputs.
   void add_raw(limb::Limb* r, const limb::Limb* a, const limb::Limb* b) const {
-    limb::Limb t[limb::kMaxFpLimbs], s[limb::kMaxFpLimbs];
-    limb::Limb c = 0, bw = 0;
-    for (std::size_t i = 0; i < n_; ++i) {
-      const limb::Dlimb sum =
-          static_cast<limb::Dlimb>(a[i]) + b[i] + c;
-      t[i] = static_cast<limb::Limb>(sum);
-      c = static_cast<limb::Limb>(sum >> 64);
-      const limb::Dlimb dif =
-          static_cast<limb::Dlimb>(t[i]) - m_[i] - bw;
-      s[i] = static_cast<limb::Limb>(dif);
-      bw = static_cast<limb::Limb>(dif >> 64) & 1;
-    }
-    // Reduce when the sum overflowed n limbs or reached m (no borrow).
-    const limb::Limb mask = 0 - (c | (bw ^ 1));
-    for (std::size_t i = 0; i < n_; ++i) {
-      r[i] = (s[i] & mask) | (t[i] & ~mask);
+    switch (n_) {
+      case 2: limb::mod_add<2>(r, a, b, m_.data(), 2); return;
+      case 4: limb::mod_add<4>(r, a, b, m_.data(), 4); return;
+      case 8: limb::mod_add<8>(r, a, b, m_.data(), 8); return;
+      default: limb::mod_add<0>(r, a, b, m_.data(), n_); return;
     }
   }
   void sub_raw(limb::Limb* r, const limb::Limb* a, const limb::Limb* b) const {
-    limb::Limb d[limb::kMaxFpLimbs], s[limb::kMaxFpLimbs];
-    limb::Limb c = 0, bw = 0;
-    for (std::size_t i = 0; i < n_; ++i) {
-      const limb::Dlimb dif =
-          static_cast<limb::Dlimb>(a[i]) - b[i] - bw;
-      d[i] = static_cast<limb::Limb>(dif);
-      bw = static_cast<limb::Limb>(dif >> 64) & 1;
-      const limb::Dlimb sum =
-          static_cast<limb::Dlimb>(d[i]) + m_[i] + c;
-      s[i] = static_cast<limb::Limb>(sum);
-      c = static_cast<limb::Limb>(sum >> 64);
-    }
-    const limb::Limb mask = 0 - bw;  // borrowed: take d + m
-    for (std::size_t i = 0; i < n_; ++i) {
-      r[i] = (s[i] & mask) | (d[i] & ~mask);
+    switch (n_) {
+      case 2: limb::mod_sub<2>(r, a, b, m_.data(), 2); return;
+      case 4: limb::mod_sub<4>(r, a, b, m_.data(), 4); return;
+      case 8: limb::mod_sub<8>(r, a, b, m_.data(), 8); return;
+      default: limb::mod_sub<0>(r, a, b, m_.data(), n_); return;
     }
   }
   void neg_raw(limb::Limb* r, const limb::Limb* a) const {
-    limb::Limb s[limb::kMaxFpLimbs];
-    limb::Limb nz = 0, bw = 0;
-    for (std::size_t i = 0; i < n_; ++i) {
-      nz |= a[i];
-      const limb::Dlimb dif =
-          static_cast<limb::Dlimb>(m_[i]) - a[i] - bw;
-      s[i] = static_cast<limb::Limb>(dif);
-      bw = static_cast<limb::Limb>(dif >> 64) & 1;
+    switch (n_) {
+      case 2: limb::mod_neg<2>(r, a, m_.data(), 2); return;
+      case 4: limb::mod_neg<4>(r, a, m_.data(), 4); return;
+      case 8: limb::mod_neg<8>(r, a, m_.data(), 8); return;
+      default: limb::mod_neg<0>(r, a, m_.data(), n_); return;
     }
-    const limb::Limb mask = 0 - static_cast<limb::Limb>(nz != 0);
-    for (std::size_t i = 0; i < n_; ++i) r[i] = s[i] & mask;
   }
   void dbl(FpElem& r, const FpElem& a) const { add(r, a, a); }
   void mul(FpElem& r, const FpElem& a, const FpElem& b) const {

@@ -86,9 +86,14 @@ class DecBank {
   /// pairing-engine call decides every member's t-independent certificate
   /// equation as one randomized product (scalars from the bank's own
   /// stream) and computes every member's GT statement alongside
-  /// (dec/statement.h); each member's remainder then runs inline on its
-  /// statement. Flags are in input order and match verify_spend /
-  /// verify_root_hiding_spend member by member.
+  /// (dec/statement.h). The remainder then runs on those statements: one
+  /// lockstep pass decides every regular member's equality proof (GT
+  /// membership of A1 and the proof equation for all members in step on
+  /// the lane kernels), and each root-hiding member runs its own
+  /// cut-and-choose check. Flags are in input order and match
+  /// verify_spend / verify_root_hiding_spend member by member. The two
+  /// stages are timed as the histograms dec.verify.engine and
+  /// dec.verify.remainder.
   std::vector<bool> verify_batch(
       const std::vector<const DepositSpend*>& spends) const;
 

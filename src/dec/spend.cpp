@@ -1,6 +1,5 @@
 #include "dec/spend.h"
 
-#include <optional>
 #include <stdexcept>
 
 #include "dec/session.h"
@@ -34,25 +33,53 @@ bool cert_eq1_holds(const DecSession& session, const ClPkPrecomp* pre_pk,
   return gt.pair(cert.a, bank_pk.Y) == gt.pair(gt.params().g, cert.b);
 }
 
-// Terms of the randomized product ∏_j [ê(Y,a_j)·ê(g,b_j)⁻¹]^{δ_j}, or
-// nothing when a member is malformed (the caller then decides every
-// certificate alone, which identifies it).
-std::optional<std::vector<PairingTerm>> cert_batch_terms(
-    const DecParams& params, const DecSession& session,
-    const ClPkPrecomp& pre_pk, const std::vector<const ClSignature*>& certs,
-    SecureRandom& rng) {
-  std::vector<PairingTerm> terms;
-  terms.reserve(certs.size() * 2);
-  for (const ClSignature* cert : certs) {
-    if (cert == nullptr || !cert_points_ok(params, *cert)) {
-      return std::nullopt;
+// Indices of the certificates with well-formed points (null entries are
+// not), each checked once.
+std::vector<std::size_t> well_formed(
+    const DecParams& params, const std::vector<const ClSignature*>& certs) {
+  std::vector<std::size_t> formed;
+  for (std::size_t j = 0; j < certs.size(); ++j) {
+    if (certs[j] != nullptr && cert_points_ok(params, *certs[j])) {
+      formed.push_back(j);
     }
-    const Bigint d = batch_scalar(rng, params.pairing.r);
-    terms.push_back(PairingTerm{.pre = &pre_pk.Y, .Q = cert->a, .exp = d});
-    terms.push_back(PairingTerm{.pre = &session.pre_g(), .Q = cert->b,
+  }
+  return formed;
+}
+
+// Terms of the randomized product ∏_j [ê(Y,a_j)·ê(g,b_j)⁻¹]^{δ_j} over the
+// listed certificates (every one well-formed). A lone certificate takes
+// δ = 1: GT has prime order, so its product is its own equation.
+std::vector<PairingTerm> cert_batch_terms(
+    const DecParams& params, const DecSession& session,
+    const ClPkPrecomp& pre_pk, const std::vector<std::size_t>& formed,
+    const std::vector<const ClSignature*>& certs, SecureRandom& rng) {
+  std::vector<PairingTerm> terms;
+  terms.reserve(formed.size() * 2);
+  for (const std::size_t j : formed) {
+    const Bigint d = formed.size() == 1 ? Bigint(1)
+                                        : batch_scalar(rng, params.pairing.r);
+    terms.push_back(PairingTerm{.pre = &pre_pk.Y, .Q = certs[j]->a, .exp = d});
+    terms.push_back(PairingTerm{.pre = &session.pre_g(), .Q = certs[j]->b,
                                 .exp = d, .invert = true});
   }
   return terms;
+}
+
+// Flags once the product over the well-formed members is known: all of
+// them true when it is 1, otherwise each decided alone. Malformed members
+// are false either way, so one of them never costs the rest their batch.
+std::vector<bool> decide_certs(const DecSession& session,
+                               const ClPkPrecomp& pre_pk,
+                               const ClPublicKey& bank_pk,
+                               const std::vector<const ClSignature*>& certs,
+                               const std::vector<std::size_t>& formed,
+                               bool product_is_one) {
+  std::vector<bool> ok(certs.size(), false);
+  for (const std::size_t j : formed) {
+    ok[j] = product_is_one ||
+            cert_eq1_holds(session, &pre_pk, bank_pk, *certs[j]);
+  }
+  return ok;
 }
 
 // verify_cert_equation for each member on its own (null entries false).
@@ -103,22 +130,40 @@ bool spend_structure_ok(const DecParams& params, const SpendBundle& bundle) {
   return cert_points_ok(params, bundle.cert);
 }
 
-// Equality-proof half: ties the hidden t to both the certificate and S_0.
-bool spend_proof_ok(const DecParams& params, const SpendBundle& bundle,
-                    const GtStatement& stmt) {
+// Equality-proof half of every listed bundle against its statement: ties
+// each hidden t to both the certificate and S_0. A null statement marks a
+// bundle already decided false, and a degenerate base V = 1 would void
+// soundness, so such a bundle is false without a proof check; the rest go
+// through one equality_verify_many call. The statement halves are already
+// known members: W is a pairing output (always in GT), and the root
+// serial's tower membership was checked in spend_structure_ok. Skipping
+// their re-checks saves two group exponentiations per spend; the
+// attacker-chosen commitments are still validated inside.
+std::vector<bool> spend_proofs_ok(
+    const DecParams& params, const std::vector<const SpendBundle*>& bundles,
+    const std::vector<const GtStatement*>& stmts) {
   const GtGroup& gt = params.session().gt();
-  // A degenerate base V = 1 would void soundness; reject it.
-  if (stmt.V == gt.identity()) return false;
   const ZnGroup& g1 = params.tower[0];
-  // The statement halves are already known members: W is a pairing
-  // output (always in GT), and the root serial's tower membership was
-  // checked in spend_structure_ok. Skipping their re-checks saves two
-  // group exponentiations per spend; the attacker-chosen commitments are
-  // still validated inside.
-  return equality_verify_trusted_statement(
-      gt, stmt.V, stmt.W, g1, g1.generator(),
-      g1.encode(bundle.path_serials.front()), bundle.proof,
-      spend_binding(params, bundle));
+  const Bytes gen = g1.generator();
+  const Bytes unit = gt.identity();
+  const std::size_t n = bundles.size();
+  std::vector<Bytes> s0(n), binding(n);
+  std::vector<EqualityInstance> instances;
+  std::vector<std::size_t> slot;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (stmts[i] == nullptr || stmts[i]->V == unit) continue;
+    s0[i] = g1.encode(bundles[i]->path_serials.front());
+    binding[i] = spend_binding(params, *bundles[i]);
+    instances.push_back(EqualityInstance{&stmts[i]->V, &stmts[i]->W, &gen,
+                                         &s0[i], &bundles[i]->proof,
+                                         &binding[i]});
+    slot.push_back(i);
+  }
+  const std::vector<bool> proved =
+      equality_verify_many(gt, g1, instances, /*trusted_statement=*/true);
+  std::vector<bool> ok(n, false);
+  for (std::size_t j = 0; j < slot.size(); ++j) ok[slot[j]] = proved[j];
+  return ok;
 }
 
 }  // namespace
@@ -175,40 +220,38 @@ CertBatch verify_certs_with_statements(
     out.cert_ok = certs_one_by_one(params, session, nullptr, bank_pk, certs);
     return out;
   }
-  const auto terms = cert_batch_terms(params, session, *pre_pk, certs, rng);
-  std::vector<const ClSignature*> formed;
-  std::vector<std::size_t> slot;
-  for (std::size_t j = 0; j < certs.size(); ++j) {
-    if (certs[j] != nullptr && cert_points_ok(params, *certs[j])) {
-      formed.push_back(certs[j]);
-      slot.push_back(j);
-    }
-  }
+  const std::vector<std::size_t> formed = well_formed(params, certs);
+  std::vector<const ClSignature*> formed_certs;
+  for (const std::size_t j : formed) formed_certs.push_back(certs[j]);
+  const std::vector<PairingTerm> terms =
+      cert_batch_terms(params, session, *pre_pk, formed, certs, rng);
   Bytes product;
   std::vector<GtStatement> stmts =
-      gt_statements(session, *pre_pk, formed,
-                    terms ? &*terms : nullptr, &product);
-  for (std::size_t i = 0; i < slot.size(); ++i) {
-    out.statements[slot[i]] = std::move(stmts[i]);
+      gt_statements(session, *pre_pk, formed_certs, &terms, &product);
+  for (std::size_t i = 0; i < formed.size(); ++i) {
+    out.statements[formed[i]] = std::move(stmts[i]);
   }
-  if (terms && product == session.gt().identity()) {
-    out.cert_ok.assign(certs.size(), true);
-  } else {
-    out.cert_ok =
-        certs_one_by_one(params, session, pre_pk.get(), bank_pk, certs);
-  }
+  out.cert_ok = decide_certs(session, *pre_pk, bank_pk, certs, formed,
+                             product == session.gt().identity());
   return out;
 }
 
-bool verify_spend_with_statement(const DecParams& params,
-                                 const ClPublicKey& bank_pk,
-                                 const SpendBundle& bundle,
-                                 const GtStatement* stmt) {
-  if (!spend_structure_ok(params, bundle)) return false;
-  return spend_proof_ok(params, bundle,
-                        stmt != nullptr
-                            ? *stmt
-                            : gt_statement(params, bank_pk, bundle.cert));
+std::vector<bool> verify_spends_with_statements(
+    const DecParams& params, const ClPublicKey& bank_pk,
+    const std::vector<const SpendBundle*>& bundles,
+    const std::vector<const GtStatement*>& stmts) {
+  std::vector<GtStatement> own(bundles.size());
+  std::vector<const GtStatement*> use(bundles.size(), nullptr);
+  for (std::size_t i = 0; i < bundles.size(); ++i) {
+    if (!spend_structure_ok(params, *bundles[i])) continue;
+    if (stmts[i] == nullptr) {
+      own[i] = gt_statement(params, bank_pk, bundles[i]->cert);
+      use[i] = &own[i];
+    } else {
+      use[i] = stmts[i];
+    }
+  }
+  return spend_proofs_ok(params, bundles, use);
 }
 
 Bytes SpendBundle::serialize(const DecParams& params) const {
@@ -281,8 +324,8 @@ bool verify_spend(const DecParams& params, const ClPublicKey& bank_pk,
   if (!cert_eq1_holds(session, pre_pk.get(), bank_pk, bundle.cert)) {
     return false;
   }
-  return spend_proof_ok(params, bundle,
-                        gt_statement(params, bank_pk, bundle.cert));
+  const GtStatement stmt = gt_statement(params, bank_pk, bundle.cert);
+  return spend_proofs_ok(params, {&bundle}, {&stmt})[0];
 }
 
 bool verify_cert_equation(const DecParams& params, const ClPublicKey& bank_pk,
@@ -299,19 +342,22 @@ std::vector<bool> verify_cert_equation_batch(
   if (certs.empty()) return {};
   const DecSession& session = params.session();
   const auto pre_pk = session.pk_tables(bank_pk);
-  if (pre_pk != nullptr) {  // otherwise: off-curve bank key
-    const auto terms = cert_batch_terms(params, session, *pre_pk, certs, rng);
-    if (terms && session.gt().pair_product(*terms) == session.gt().identity()) {
-      return std::vector<bool>(certs.size(), true);
-    }
+  if (pre_pk == nullptr) {  // off-curve bank key
+    return certs_one_by_one(params, session, nullptr, bank_pk, certs);
   }
-  return certs_one_by_one(params, session, pre_pk.get(), bank_pk, certs);
+  const std::vector<std::size_t> formed = well_formed(params, certs);
+  const std::vector<PairingTerm> terms =
+      cert_batch_terms(params, session, *pre_pk, formed, certs, rng);
+  return decide_certs(
+      session, *pre_pk, bank_pk, certs, formed,
+      session.gt().pair_product(terms) == session.gt().identity());
 }
 
 bool verify_spend_assuming_cert(const DecParams& params,
                                 const ClPublicKey& bank_pk,
                                 const SpendBundle& bundle) {
-  return verify_spend_with_statement(params, bank_pk, bundle, nullptr);
+  return verify_spends_with_statements(params, bank_pk, {&bundle},
+                                       {nullptr})[0];
 }
 
 }  // namespace ppms

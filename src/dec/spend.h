@@ -43,12 +43,14 @@ bool verify_cert_equation(const DecParams& params, const ClPublicKey& bank_pk,
                           const ClSignature& cert);
 
 /// Randomized small-exponent batch form of verify_cert_equation: one
-/// product of pairings ∏_j [ê(Y,a_j)·ê(g,b_j)⁻¹]^{δ_j} == 1 with fresh
-/// δ_j ∈ [1, min(r, 2^64)) per certificate (batch_scalar) decides the whole
-/// batch (false-accept probability ≤ 1/(min(r, 2^64) − 1), which is
-/// 1/(r − 1) for the 57-bit r of every DEC market); on reject it falls
-/// back to per-certificate checks, so the returned flags always match
-/// verify_cert_equation. Null entries come back false.
+/// product of pairings ∏_j [ê(Y,a_j)·ê(g,b_j)⁻¹]^{δ_j} == 1 over the
+/// certificates with well-formed points, with fresh δ_j ∈ [1, min(r, 2^64))
+/// per certificate (batch_scalar), decides them all (false-accept
+/// probability ≤ 1/(min(r, 2^64) − 1), which is 1/(r − 1) for the 57-bit
+/// r of every DEC market); a lone well-formed certificate takes δ = 1,
+/// which is exact. On reject it falls back to per-certificate checks, so
+/// the returned flags always match verify_cert_equation. Null and
+/// malformed entries come back false without voiding the product.
 std::vector<bool> verify_cert_equation_batch(
     const DecParams& params, const ClPublicKey& bank_pk,
     const std::vector<const ClSignature*>& certs, SecureRandom& rng);

@@ -41,10 +41,12 @@ GtStatement gt_statement(const DecParams& params, const ClPublicKey& bank_pk,
 
 /// verify_cert_equation_batch that also returns every well-formed
 /// member's statement, all from one engine call: the randomized
-/// certificate product leads, the 2·N statement products follow. Flags
-/// match verify_cert_equation exactly (per-certificate fallback when the
-/// product is not 1). statements[j] is empty for a member with malformed
-/// certificate points, and for every member under an off-curve bank key.
+/// certificate product over the well-formed members leads, their 2·N
+/// statement products follow. Flags match verify_cert_equation exactly
+/// (a malformed member is false on its own; per-certificate fallback when
+/// the product is not 1). statements[j] is empty for a member with
+/// malformed certificate points, and for every member under an off-curve
+/// bank key.
 struct CertBatch {
   std::vector<bool> cert_ok;
   std::vector<std::optional<GtStatement>> statements;
@@ -53,12 +55,17 @@ CertBatch verify_certs_with_statements(
     const DecParams& params, const ClPublicKey& bank_pk,
     const std::vector<const ClSignature*>& certs, SecureRandom& rng);
 
-/// verify_spend_assuming_cert with the certificate statement already
-/// computed (null: compute it with gt_statement).
-bool verify_spend_with_statement(const DecParams& params,
-                                 const ClPublicKey& bank_pk,
-                                 const SpendBundle& bundle,
-                                 const GtStatement* stmt);
+/// verify_spend_assuming_cert for every bundle, with each certificate
+/// statement already computed (a null entry: compute it with
+/// gt_statement). Structure and V = 1 decide a bundle alone; every other
+/// bundle's equality proof goes through one equality_verify_many call,
+/// whose GT membership tests and proof equations run in lockstep on the
+/// lane kernels. Flags are in input order; each bundle still counts as one
+/// ZKP verify when it reaches the proof check, as verify_spend does.
+std::vector<bool> verify_spends_with_statements(
+    const DecParams& params, const ClPublicKey& bank_pk,
+    const std::vector<const SpendBundle*>& bundles,
+    const std::vector<const GtStatement*>& stmts);
 
 /// Everything verify_root_hiding_spend checks except the certificate
 /// pairing equation ê(a,Y) == ê(g,b), which the bank decides for a whole

@@ -12,9 +12,18 @@ bool ec_on_curve(const EcPoint& pt, const Bigint& p) {
   if (pt.x.is_negative() || pt.x >= p || pt.y.is_negative() || pt.y >= p) {
     return false;
   }
-  const Bigint lhs = fp_mul(pt.y, pt.y, p);
-  const Bigint x3 = fp_mul(fp_mul(pt.x, pt.x, p), pt.x, p);
-  return lhs == fp_add(x3, pt.x, p);
+  // y² == x³ + x in the Montgomery domain: two conversions and three
+  // products, against three division-reduced Bigint products.
+  const std::shared_ptr<const FpCtx> ctx = fp_ctx(p);
+  const FpCtx& F = *ctx;
+  const FpElem x = F.to_mont(pt.x);
+  const FpElem y = F.to_mont(pt.y);
+  FpElem lhs, rhs;
+  F.sqr(lhs, y);
+  F.sqr(rhs, x);
+  F.mul(rhs, rhs, x);
+  F.add(rhs, rhs, x);
+  return F.equal(lhs, rhs);
 }
 
 EcPoint ec_neg(const EcPoint& a, const Bigint& p) {

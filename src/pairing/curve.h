@@ -31,7 +31,10 @@ struct EcPoint {
   friend bool operator==(const EcPoint&, const EcPoint&) = default;
 };
 
-/// True when P satisfies y² = x³ + x (or is infinity).
+/// True when P is infinity, or has coordinates in [0, p) satisfying
+/// y² = x³ + x. Runs on fp_ctx(p): for a finite point with in-range
+/// coordinates p must be odd and at most 2048 bits (std::invalid_argument
+/// otherwise).
 bool ec_on_curve(const EcPoint& pt, const Bigint& p);
 
 /// Point addition (handles doubling, inverses and infinity).

@@ -289,6 +289,42 @@ std::vector<Fp2> leave_mont(const FpCtx& F, const std::vector<Fp2Elem>& v) {
   return out;
 }
 
+// Lucas ladders in step: for every j < m, from (V_0, V_1) = (2, v1[j]) to
+// (V_e, V_{e+1}) in (a[j], b[j]) over the bits of e, by
+//     V_{2k} = V_k² - 2,   V_{2k+1} = V_k·V_{k+1} - V_1.
+// For a norm-1 z with 2·Re z = V_1 this is the trace V_k = z^k + z^{-k}.
+// Each bit is one mul_batch_raw of 2m jobs; both bit cases share the
+// product job and differ only in the squared operand. Every array holds m
+// residues at stride limbs(); prod and sq are scratch.
+void lucas_ladders(const FpCtx& F, const Bigint& e, std::size_t m,
+                   const limb::Limb* v1, limb::Limb* a, limb::Limb* b,
+                   limb::Limb* prod, limb::Limb* sq) {
+  const std::size_t n = F.limbs();
+  FpElem two;
+  F.dbl(two, F.one());
+  std::vector<simd::MontJob> jobs0(2 * m), jobs1(2 * m);
+  for (std::size_t j = 0; j < m; ++j) {
+    limb::Limb* aj = a + j * n;
+    limb::Limb* bj = b + j * n;
+    std::copy(two.v.begin(), two.v.begin() + static_cast<std::ptrdiff_t>(n),
+              aj);
+    std::copy(v1 + j * n, v1 + (j + 1) * n, bj);
+    jobs0[2 * j] = jobs1[2 * j] = {prod + j * n, aj, bj};
+    jobs0[2 * j + 1] = {sq + j * n, aj, aj};
+    jobs1[2 * j + 1] = {sq + j * n, bj, bj};
+  }
+  for (std::size_t i = e.bit_length(); i-- > 0;) {
+    const bool bit = e.bit(i);
+    F.mul_batch_raw((bit ? jobs1 : jobs0).data(), 2 * m);
+    for (std::size_t j = 0; j < m; ++j) {
+      limb::Limb* sq_to = (bit ? b : a) + j * n;
+      limb::Limb* prod_to = (bit ? a : b) + j * n;
+      F.sub_raw(sq_to, sq + j * n, two.v.data());
+      F.sub_raw(prod_to, prod + j * n, v1 + j * n);
+    }
+  }
+}
+
 // f ↦ f^{(p²-1)/r} = z^h with z = conj(f)/f (Frobenius is conjugation in
 // F_p[i]), for every f[k] in place and all of them in step.
 //
@@ -394,29 +430,9 @@ void final_exp_batch(const FpCtx& F, const Bigint& h,
   run();
 
   // Lockstep ladders from (V_0, V_1) = (2, V_1) to (V_h, V_{h+1}) in
-  // (A, B). Both bit cases share the product job; only the squared
-  // operand differs.
-  FpElem two;
-  F.dbl(two, F.one());
-  std::vector<simd::MontJob> jobs0(2 * m), jobs1(2 * m);
-  for (std::size_t j = 0; j < m; ++j) {
-    std::copy(two.v.begin(), two.v.begin() + static_cast<std::ptrdiff_t>(n),
-              at(kA, j));
-    std::copy(at(kV1, j), at(kV1, j) + n, at(kB, j));
-    jobs0[2 * j] = jobs1[2 * j] = {at(kProd, j), at(kA, j), at(kB, j)};
-    jobs0[2 * j + 1] = {at(kSq, j), at(kA, j), at(kA, j)};
-    jobs1[2 * j + 1] = {at(kSq, j), at(kB, j), at(kB, j)};
-  }
-  for (std::size_t i = h.bit_length(); i-- > 0;) {
-    const bool bit = h.bit(i);
-    F.mul_batch_raw((bit ? jobs1 : jobs0).data(), 2 * m);
-    for (std::size_t j = 0; j < m; ++j) {
-      limb::Limb* sq_to = at(bit ? kB : kA, j);
-      limb::Limb* prod_to = at(bit ? kA : kB, j);
-      F.sub_raw(sq_to, at(kSq, j), two.v.data());
-      F.sub_raw(prod_to, at(kProd, j), at(kV1, j));
-    }
-  }
+  // (A, B).
+  lucas_ladders(F, h, m, at(kV1, 0), at(kA, 0), at(kB, 0), at(kProd, 0),
+                at(kSq, 0));
 
   // z^h = V_h/2 + i·(2·V_{h+1} - V_1·V_h)·N/(8xy).
   const FpElem half = F.to_mont((F.modulus() + Bigint(1)) / Bigint(2));
@@ -752,31 +768,93 @@ Fp2 PairingEngine::gt_pow(const Fp2& x, const Bigint& e) const {
   return Fp2{F.from_mont(v.a), F.from_mont(v.b)};
 }
 
-Fp2 PairingEngine::gt_pow2(const Fp2& x1, const Bigint& e1, const Fp2& x2,
-                           const Bigint& e2) const {
-  if (e1.is_negative() || e2.is_negative()) {
-    throw std::invalid_argument("PairingEngine::gt_pow2: negative exponent");
-  }
+std::vector<bool> PairingEngine::gt_contains_many(
+    const std::vector<Fp2>& xs) const {
   const FpCtx& F = *fp_;
-  const Fp2Elem a{F.to_mont(x1.a), F.to_mont(x1.b)};
-  const Fp2Elem b{F.to_mont(x2.a), F.to_mont(x2.b)};
-  Fp2Elem ab;
-  fp2_mul(F, ab, a, b);
-  Fp2Elem acc{F.one(), F.zero()};
-  const std::size_t bits = std::max(e1.bit_length(), e2.bit_length());
-  for (std::size_t i = bits; i-- > 0;) {
-    fp2_sqr(F, acc, acc);
-    const bool ba = e1.bit(i);
-    const bool bb = e2.bit(i);
-    if (ba && bb) {
-      fp2_mul(F, acc, acc, ab);
-    } else if (ba) {
-      fp2_mul(F, acc, acc, a);
-    } else if (bb) {
-      fp2_mul(F, acc, acc, b);
-    }
+  const std::size_t n = F.limbs();
+  const std::size_t k = xs.size();
+  std::vector<bool> out(k, false);
+  if (k == 0) return out;
+
+  // Norm test, lane-batched: a² and b² for every element.
+  std::vector<limb::Limb> sq(2 * k * n);
+  std::vector<Fp2Elem> x(k);
+  std::vector<simd::MontJob> jobs;
+  jobs.reserve(2 * k);
+  for (std::size_t j = 0; j < k; ++j) {
+    x[j] = Fp2Elem{F.to_mont(xs[j].a), F.to_mont(xs[j].b)};
+    jobs.push_back({sq.data() + 2 * j * n, x[j].a.v.data(), x[j].a.v.data()});
+    jobs.push_back(
+        {sq.data() + (2 * j + 1) * n, x[j].b.v.data(), x[j].b.v.data()});
   }
-  return Fp2{F.from_mont(acc.a), F.from_mont(acc.b)};
+  F.mul_batch_raw(jobs.data(), jobs.size());
+
+  // Norm-1 elements go on to the ladder with V_1 = 2a, compacted into
+  // the first m slots of v1.
+  std::vector<std::size_t> live;
+  std::vector<limb::Limb> v1(k * n);
+  for (std::size_t j = 0; j < k; ++j) {
+    limb::Limb* norm = sq.data() + 2 * j * n;
+    F.add_raw(norm, norm, norm + n);
+    if (!std::equal(norm, norm + n, F.one().v.begin())) continue;
+    F.add_raw(v1.data() + live.size() * n, x[j].a.v.data(), x[j].a.v.data());
+    live.push_back(j);
+  }
+  const std::size_t m = live.size();
+  if (m == 0) return out;
+  std::vector<limb::Limb> state(4 * m * n);
+  limb::Limb* a = state.data();
+  lucas_ladders(F, params_.r, m, v1.data(), a, a + m * n, a + 2 * m * n,
+                a + 3 * m * n);
+  FpElem two;
+  F.dbl(two, F.one());
+  for (std::size_t j = 0; j < m; ++j) {
+    out[live[j]] = std::equal(a + j * n, a + (j + 1) * n, two.v.begin());
+  }
+  return out;
+}
+
+std::vector<Fp2> PairingEngine::gt_pow2_many(
+    const std::vector<GtPow2>& jobs) const {
+  const FpCtx& F = *fp_;
+  const std::size_t k = jobs.size();
+  std::vector<Fp2Elem> x1(k), x2(k), x12(k);
+  std::vector<Fp2Elem> acc(k, Fp2Elem{F.one(), F.zero()});
+  std::vector<std::size_t> bits(k);
+  std::size_t maxb = 0;
+  Fp2Batch batch(F);
+  batch.reserve(k, k, 0);
+  for (std::size_t j = 0; j < k; ++j) {
+    const GtPow2& job = jobs[j];
+    if (job.e1.is_negative() || job.e2.is_negative()) {
+      throw std::invalid_argument(
+          "PairingEngine::gt_pow2_many: negative exponent");
+    }
+    x1[j] = Fp2Elem{F.to_mont(job.x1.a), F.to_mont(job.x1.b)};
+    x2[j] = Fp2Elem{F.to_mont(job.x2.a), F.to_mont(job.x2.b)};
+    batch.mul(x12[j], x1[j], x2[j]);
+    bits[j] = std::max(job.e1.bit_length(), job.e2.bit_length());
+    maxb = std::max(maxb, bits[j]);
+  }
+  batch.flush();
+  // One joint Shamir chain per job, all in step from the longest exponent
+  // down. A chain joins at its own top bit: the squarings of one it skips
+  // are exact, so each acc[j] is bit-identical to the job run alone.
+  for (std::size_t i = maxb; i-- > 0;) {
+    for (std::size_t j = 0; j < k; ++j) {
+      if (i < bits[j]) batch.sqr(acc[j], acc[j]);
+    }
+    batch.flush();
+    for (std::size_t j = 0; j < k; ++j) {
+      const bool b1 = jobs[j].e1.bit(i);
+      const bool b2 = jobs[j].e2.bit(i);
+      if (b1 || b2) {
+        batch.mul(acc[j], acc[j], b1 && b2 ? x12[j] : b1 ? x1[j] : x2[j]);
+      }
+    }
+    batch.flush();
+  }
+  return leave_mont(F, acc);
 }
 
 }  // namespace ppms

@@ -21,7 +21,10 @@
 //    Lucas ladders — z = conj(f)/f has norm 1, so z^h follows from the
 //    trace sequence V_j = z^j + z^{-j}, one F_p product and one square
 //    per bit of h, lane-batched across every output, after a single
-//    field inversion for the whole call (Montgomery's trick);
+//    field inversion for the whole call (Montgomery's trick). The same
+//    ladder over the bits of r decides GT membership (`gt_contains_many`),
+//    and the verifiers' double exponentiations run as joint chains in
+//    step (`gt_pow2_many`);
 //  * every F_p product runs on stack-resident FpElem residues in the
 //    Montgomery domain of the shared per-modulus FpCtx (bigint/limbs.h),
 //    entering once per pairing and leaving once at the end, with
@@ -141,13 +144,31 @@ class PairingEngine {
   std::vector<Fp2> final_exp(const std::vector<Fp2>& f) const;
 
   /// x^e in F_p² for e >= 0, in the Montgomery domain; bit-identical to
-  /// fp2_pow. Backs GtGroup::pow and GtGroup::contains.
+  /// fp2_pow. Backs GtGroup::pow.
   Fp2 gt_pow(const Fp2& x, const Bigint& e) const;
 
-  /// x1^e1 · x2^e2 (Shamir/Straus interleaving) for e1, e2 >= 0;
-  /// bit-identical to fp2_mul(fp2_pow(...), fp2_pow(...)).
-  Fp2 gt_pow2(const Fp2& x1, const Bigint& e1, const Fp2& x2,
-              const Bigint& e2) const;
+  /// GT membership (x^r == 1) of every element, decided in step: the
+  /// norm test a² + b² == 1 (every element of order r has norm 1, as
+  /// r | p + 1), then the Lucas ladder V_r(2a) == 2 over the bits of r
+  /// for the norm-1 elements, lane-batched across all of them — the same
+  /// ladder as the final exponentiation's. Each flag equals
+  /// fp2_is_one(fp2_pow(x, r)) for x with coordinates in [0, p); zero and
+  /// non-unitary elements fail the norm test. GtGroup::contains and
+  /// contains_many run on it.
+  std::vector<bool> gt_contains_many(const std::vector<Fp2>& xs) const;
+
+  /// One x1^e1 · x2^e2 (e1, e2 >= 0) per job: joint Shamir chains for all
+  /// jobs in step, every bit's squarings and then its multiplies going out
+  /// as one lane batch. Each output is bit-identical to
+  /// fp2_mul(fp2_pow(x1, e1), fp2_pow(x2, e2)), whatever the inputs (GT
+  /// members or not). Throws std::invalid_argument on a negative exponent.
+  struct GtPow2 {
+    Fp2 x1;
+    Bigint e1;
+    Fp2 x2;
+    Bigint e2;
+  };
+  std::vector<Fp2> gt_pow2_many(const std::vector<GtPow2>& jobs) const;
 
  private:
   /// The Miller loop behind every entry point: interleaves every

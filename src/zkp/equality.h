@@ -32,21 +32,39 @@ EqualityProof equality_prove(const Group& group1, const Bytes& g1,
                              const Bigint& x, SecureRandom& rng,
                              const Bytes& context = {});
 
+/// One statement of an equality_verify_many batch: y1 == g1^x in the
+/// batch's group1 and y2 == g2^x in its group2, with the proof and its
+/// Fiat–Shamir context. Pointers must outlive the call.
+struct EqualityInstance {
+  const Bytes* g1;
+  const Bytes* y1;
+  const Bytes* g2;
+  const Bytes* y2;
+  const EqualityProof* proof;
+  const Bytes* context;
+};
+
+/// The equality verifier: one exact verdict per instance, in order. Each
+/// instance counts as one ZKP operation (and one zkp.verify), as if
+/// verified alone. Per-instance checks run first (statement membership
+/// unless `trusted_statement`, A2 membership, response range, challenge);
+/// then every survivor's A1 membership and its group1 equation
+/// g1^z · y1^(q−c) == A1 go through group1's contains_many and pow2_many,
+/// which GtGroup runs in lockstep on the lane kernels.
+///
+/// `trusted_statement` skips the membership checks on y1 and y2 (one full
+/// group exponentiation each). It is only sound when the caller
+/// guarantees both are group members — e.g. y1 is a pairing output
+/// (always in GT) and y2 was membership-checked upstream; the
+/// attacker-chosen commitments are still validated, so verdicts are
+/// identical whenever that guarantee holds.
+std::vector<bool> equality_verify_many(
+    const Group& group1, const Group& group2,
+    const std::vector<EqualityInstance>& instances, bool trusted_statement);
+
+/// equality_verify_many of one untrusted statement.
 bool equality_verify(const Group& group1, const Bytes& g1, const Bytes& y1,
                      const Group& group2, const Bytes& g2, const Bytes& y2,
                      const EqualityProof& proof, const Bytes& context = {});
-
-/// As equality_verify, but for statements the verifier assembled itself:
-/// skips the membership re-checks on y1 and y2, which cost one full group
-/// exponentiation each. Only sound when the caller guarantees both are
-/// group members — e.g. y1 is a pairing output (always in GT) and y2 was
-/// membership-checked upstream. The attacker-chosen commitments are still
-/// validated, so verdicts are identical to equality_verify whenever that
-/// guarantee holds.
-bool equality_verify_trusted_statement(const Group& group1, const Bytes& g1,
-                                       const Bytes& y1, const Group& group2,
-                                       const Bytes& g2, const Bytes& y2,
-                                       const EqualityProof& proof,
-                                       const Bytes& context = {});
 
 }  // namespace ppms

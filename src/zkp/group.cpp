@@ -10,6 +10,23 @@
 
 namespace ppms {
 
+std::vector<Bytes> Group::pow2_many(const std::vector<Pow2Job>& jobs) const {
+  std::vector<Bytes> out;
+  out.reserve(jobs.size());
+  for (const Pow2Job& job : jobs) {
+    out.push_back(pow2(*job.base1, job.e1, *job.base2, job.e2));
+  }
+  return out;
+}
+
+std::vector<bool> Group::contains_many(
+    const std::vector<const Bytes*>& as) const {
+  std::vector<bool> out;
+  out.reserve(as.size());
+  for (const Bytes* a : as) out.push_back(contains(*a));
+  return out;
+}
+
 // --- ZnGroup ----------------------------------------------------------------
 
 ZnGroup::ZnGroup(Bigint modulus, Bigint order, Bigint generator)
@@ -230,23 +247,44 @@ Bytes GtGroup::pow(const Bytes& base, const Bigint& exp) const {
 
 Bytes GtGroup::pow2(const Bytes& base1, const Bigint& e1, const Bytes& base2,
                     const Bigint& e2) const {
-  return encode(engine_->gt_pow2(decode(base1), e1.mod(params_.r),
-                                 decode(base2), e2.mod(params_.r)));
+  return pow2_many({Pow2Job{&base1, e1, &base2, e2}})[0];
+}
+
+std::vector<Bytes> GtGroup::pow2_many(const std::vector<Pow2Job>& jobs) const {
+  std::vector<PairingEngine::GtPow2> raw;
+  raw.reserve(jobs.size());
+  for (const Pow2Job& job : jobs) {
+    raw.push_back({decode(*job.base1), job.e1.mod(params_.r),
+                   decode(*job.base2), job.e2.mod(params_.r)});
+  }
+  std::vector<Bytes> out;
+  out.reserve(jobs.size());
+  for (const Fp2& v : engine_->gt_pow2_many(raw)) out.push_back(encode(v));
+  return out;
 }
 
 Bytes GtGroup::inv(const Bytes& a) const {
   return encode(fp2_inv(decode(a), params_.p));
 }
 
-bool GtGroup::contains(const Bytes& a) const {
-  Fp2 x;
-  try {
-    x = decode(a);
-  } catch (const std::invalid_argument&) {
-    return false;
+bool GtGroup::contains(const Bytes& a) const { return contains_many({&a})[0]; }
+
+std::vector<bool> GtGroup::contains_many(
+    const std::vector<const Bytes*>& as) const {
+  std::vector<bool> out(as.size(), false);
+  std::vector<Fp2> xs;
+  std::vector<std::size_t> slot;
+  for (std::size_t i = 0; i < as.size(); ++i) {
+    try {
+      xs.push_back(decode(*as[i]));
+    } catch (const std::invalid_argument&) {
+      continue;
+    }
+    slot.push_back(i);
   }
-  if (x.a.is_zero() && x.b.is_zero()) return false;
-  return fp2_is_one(engine_->gt_pow(x, params_.r));
+  const std::vector<bool> member = engine_->gt_contains_many(xs);
+  for (std::size_t j = 0; j < slot.size(); ++j) out[slot[j]] = member[j];
+  return out;
 }
 
 Bytes GtGroup::describe() const {

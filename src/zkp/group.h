@@ -47,12 +47,28 @@ class Group {
     return op(pow(base1, e1), pow(base2, e2));
   }
 
+  /// One pow2(base1, e1, base2, e2) per job, in job order.
+  struct Pow2Job {
+    const Bytes* base1;
+    Bigint e1;
+    const Bytes* base2;
+    Bigint e2;
+  };
+  /// Every job's pow2. GtGroup runs all the chains in step on the lane
+  /// kernels; the default runs the jobs one at a time.
+  virtual std::vector<Bytes> pow2_many(const std::vector<Pow2Job>& jobs) const;
+
   /// Inverse element.
   virtual Bytes inv(const Bytes& a) const = 0;
 
   /// Full membership check: well-formed encoding AND order divides the
   /// group order. Verifiers call this on every received element.
   virtual bool contains(const Bytes& a) const = 0;
+
+  /// contains() of every element, in order. GtGroup decides the whole
+  /// batch in one lockstep pass; the default checks one at a time.
+  virtual std::vector<bool> contains_many(
+      const std::vector<const Bytes*>& as) const;
 
   /// Domain-separation bytes identifying the concrete group (folded into
   /// every transcript so proofs cannot be replayed across groups).
@@ -169,10 +185,16 @@ class GtGroup final : public Group {
   Bytes identity() const override;
   Bytes op(const Bytes& a, const Bytes& b) const override;
   Bytes pow(const Bytes& base, const Bigint& exp) const override;
+  /// pow2 and contains are pow2_many and contains_many of one.
   Bytes pow2(const Bytes& base1, const Bigint& e1, const Bytes& base2,
              const Bigint& e2) const override;
+  std::vector<Bytes> pow2_many(const std::vector<Pow2Job>& jobs) const override;
   Bytes inv(const Bytes& a) const override;
   bool contains(const Bytes& a) const override;
+  /// Elements that decode (canonical, coordinates < p) go through one
+  /// PairingEngine::gt_contains_many call; the rest are false.
+  std::vector<bool> contains_many(
+      const std::vector<const Bytes*>& as) const override;
   Bytes describe() const override;
 
  private:

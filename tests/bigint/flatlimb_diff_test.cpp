@@ -206,7 +206,8 @@ TEST(FlatLimbKernels, CiosMatchesMontgomeryOracle) {
 TEST(FlatLimbFpCtx, RingOpsAtModulusBoundaries) {
   SecureRandom rng(7005);
   for (const std::size_t n :
-       {std::size_t{2}, std::size_t{3}, std::size_t{4}, std::size_t{16}}) {
+       {std::size_t{2}, std::size_t{3}, std::size_t{4}, std::size_t{8},
+        std::size_t{16}}) {
     for (const Bigint& m : adversarial_moduli(n, rng)) {
       const FpCtx F(m);
       ASSERT_EQ(F.limbs(), n);
@@ -231,6 +232,9 @@ TEST(FlatLimbFpCtx, RingOpsAtModulusBoundaries) {
           FpElem xa = F.pack(x);
           F.add(xa, xa, F.pack(y));
           ASSERT_EQ(F.unpack(xa), (x + y).mod(m)) << "aliased add";
+          FpElem ya = F.pack(y);
+          F.sub(ya, F.pack(x), ya);
+          ASSERT_EQ(F.unpack(ya), (x - y).mod(m)) << "aliased sub";
         }
         FpElem r;
         F.neg(r, F.pack(x));

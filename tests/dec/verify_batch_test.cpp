@@ -16,6 +16,8 @@
 #include "dec/session.h"
 #include "dec/spend.h"
 #include "dec_fixture.h"
+#include "obs/metrics.h"
+#include "pairing/fp2.h"
 #include "support/small_order.h"
 
 namespace ppms {
@@ -35,14 +37,15 @@ enum class Kind {
   kHidingForged,
 };
 
-// The first n members of a fixed cycle of kinds, spread over two wallets;
-// hiding and regular members interleave.
+constexpr Kind kCycle[] = {Kind::kValid,         Kind::kHiding,
+                           Kind::kFlippedProof,   Kind::kForgedCert,
+                           Kind::kValid,         Kind::kUnitV,
+                           Kind::kHidingFlipped, Kind::kHidingForged};
+
+// n members of a fixed cycle of kinds starting at kCycle[first], spread
+// over two wallets; hiding and regular members interleave.
 std::vector<DepositSpend> build(DecBank& bank, std::size_t n,
-                                std::uint64_t seed) {
-  static const Kind kCycle[] = {Kind::kValid,       Kind::kHiding,
-                                Kind::kFlippedProof, Kind::kForgedCert,
-                                Kind::kValid,       Kind::kUnitV,
-                                Kind::kHidingFlipped, Kind::kHidingForged};
+                                std::uint64_t seed, std::size_t first = 0) {
   const DecWallet w1 = make_funded_wallet(bank, seed);
   const DecWallet w2 = make_funded_wallet(bank, seed + 1);
   SecureRandom rng(seed + 2);
@@ -52,7 +55,7 @@ std::vector<DepositSpend> build(DecBank& bank, std::size_t n,
   for (std::size_t i = 0; i < n; ++i) {
     const DecWallet& w = i % 2 == 0 ? w1 : w2;
     const NodeIndex node{3, i % 8};
-    const Kind kind = kCycle[i % std::size(kCycle)];
+    const Kind kind = kCycle[(first + i) % std::size(kCycle)];
     switch (kind) {
       case Kind::kHiding:
       case Kind::kHidingFlipped:
@@ -108,7 +111,14 @@ class VerifyBatchEquivalence : public ::testing::TestWithParam<bool> {
 
 TEST_P(VerifyBatchEquivalence, MixedBatchesMatchSingleVerifiers) {
   DecBank bank = make_bank(7400);
-  for (const std::size_t n : {1, 2, 23}) {
+  // A batch of one takes δ = 1, so a lone member of every kind — a forged
+  // certificate included — must still be decided exactly.
+  for (std::size_t first = 0; first < std::size(kCycle); ++first) {
+    const std::vector<DepositSpend> m = build(bank, 1, 7390 + first, first);
+    expect_matches_single(bank, m, bank.verify_batch(members_of(m)),
+                          "n=1 kind " + std::to_string(first));
+  }
+  for (const std::size_t n : {2, 23}) {
     const std::vector<DepositSpend> m = build(bank, n, 7401 + 10 * n);
     const std::vector<bool> got = bank.verify_batch(members_of(m));
     expect_matches_single(bank, m, got, "n=" + std::to_string(n));
@@ -121,8 +131,8 @@ TEST_P(VerifyBatchEquivalence, MixedBatchesMatchSingleVerifiers) {
 }
 
 TEST_P(VerifyBatchEquivalence, MalformedMemberIsDecidedAlone) {
-  // A certificate point off the curve skips the batched product (every
-  // certificate is then decided alone) and gets no precomputed statement.
+  // A certificate point off the curve gets no precomputed statement and is
+  // decided false on its own; the batched product covers the rest.
   DecBank bank = make_bank(7410);
   std::vector<DepositSpend> m = build(bank, 6, 7411);
   EcPoint& a = std::get<SpendBundle>(m[2]).cert.a;  // a flipped-proof member
@@ -132,6 +142,70 @@ TEST_P(VerifyBatchEquivalence, MalformedMemberIsDecidedAlone) {
   EXPECT_FALSE(flags[2]);
   EXPECT_TRUE(flags[0]);
   EXPECT_TRUE(flags[1]);
+}
+
+TEST_P(VerifyBatchEquivalence, WireInfinityMemberKeepsTheBatchProduct) {
+  // ec_deserialize accepts the canonical point at infinity, so a client
+  // can deposit a spend whose certificate has a = O. That member is false,
+  // and the rest still share one randomized product: the engine call costs
+  // 2 final exponentiations per well-formed member (V and W) plus 1 for
+  // the product, with no per-certificate fallback.
+  DecBank bank = make_bank(7440);
+  const DecParams& params = bank.params();
+  std::vector<DepositSpend> m = build(bank, 3, 7441);  // valid, hiding, flipped
+  {
+    std::vector<DepositSpend> more = build(bank, 2, 7445);  // valid, hiding
+    for (DepositSpend& d : more) m.push_back(std::move(d));
+  }
+  SpendBundle bad = std::get<SpendBundle>(build(bank, 1, 7447)[0]);
+  bad.cert.a = EcPoint::at_infinity();
+  m.insert(m.begin() + 2,
+           SpendBundle::deserialize(params, bad.serialize(params)));
+  ASSERT_TRUE(std::get<SpendBundle>(m[2]).cert.a.infinity);
+
+  obs::set_metrics_enabled(true);
+  obs::Counter& finalexp = obs::counter("crypto.pairing.finalexp");
+  const std::uint64_t before = finalexp.value();
+  const std::vector<bool> flags = bank.verify_batch(members_of(m));
+  const std::size_t well_formed = m.size() - 1;
+  EXPECT_EQ(finalexp.value() - before, 2 * well_formed + 1);
+  expect_matches_single(bank, m, flags, "wire infinity");
+  EXPECT_FALSE(flags[2]);
+  EXPECT_TRUE(flags[0]);
+  EXPECT_TRUE(flags[1]);
+}
+
+TEST_P(VerifyBatchEquivalence, AdversarialProofCommitmentsMatchSingleVerifier) {
+  // Every member's A1 membership and proof equation are decided in one
+  // lockstep pass. Members whose A1 is not in GT (a norm-1 element of the
+  // wrong order, a non-unitary element), whose A1 is another member's, or
+  // whose response is out of range must each get verify_spend's verdict,
+  // with their honest neighbours unaffected.
+  DecBank bank = make_bank(7450);
+  const DecParams& params = bank.params();
+  const GtGroup& gt = params.session().gt();
+  const Bigint& p = params.pairing.p;
+  const DecWallet w = make_funded_wallet(bank, 7451);
+  SecureRandom rng(7452);
+  std::vector<SpendBundle> s;
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    s.push_back(w.spend(NodeIndex{3, i}, bank.public_key(), rng, {}));
+  }
+  const Fp2 f{Bigint::random_below(rng, p), Bigint::random_below(rng, p)};
+  const Fp2 unit_norm = fp2_mul(fp2_conj(f, p), fp2_inv(f, p), p);
+  ASSERT_FALSE(gt.contains(gt.encode(unit_norm)));
+  s[1].proof.commitment1 = gt.encode(unit_norm);
+  s[3].proof.commitment1 = gt.encode(f);
+  s[4].proof.commitment1 = s[5].proof.commitment1;
+  s[6].proof.response = s[6].proof.response + params.pairing.r;
+  s[7].proof.commitment1 =
+      gt.encode(fp2_pow(unit_norm, params.pairing.r, p));  // order | h
+  const std::vector<DepositSpend> m(s.begin(), s.end());
+  const std::vector<bool> flags = bank.verify_batch(members_of(m));
+  expect_matches_single(bank, m, flags, "adversarial A1");
+  const std::vector<bool> want{true, false, true, false,
+                               false, true, false, false};
+  EXPECT_EQ(flags, want);
 }
 
 // Certificates carrying a small-order component (the deposit path does

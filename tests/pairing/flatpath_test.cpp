@@ -36,12 +36,12 @@ const PairingEngine& engine() {
 // f() with the lane kernels forced off, then at the level in force before
 // the call; the two must agree. Returns the result.
 template <class F>
-Fp2 across_levels(F&& f) {
+auto across_levels(F&& f) {
   const simd::Level saved = simd::level();
   simd::set_level(simd::Level::kScalar);
-  const Fp2 scalar = f();
+  const auto scalar = f();
   simd::set_level(saved);
-  const Fp2 lanes = f();
+  const auto lanes = f();
   EXPECT_EQ(scalar, lanes);
   return lanes;
 }
@@ -100,8 +100,21 @@ TEST(FlatPairingPath, GtPowsBitIdenticalAcrossModes) {
     const Fp2 h = fp2_pow(g, Bigint(7), p);
     EXPECT_EQ(across_levels([&] { return engine().gt_pow(g, e1); }),
               fp2_pow(g, e1, p));
-    EXPECT_EQ(across_levels([&] { return engine().gt_pow2(g, e1, h, e2); }),
+    EXPECT_EQ(across_levels([&] {
+                return engine().gt_pow2_many({{g, e1, h, e2}})[0];
+              }),
               fp2_mul(fp2_pow(g, e1, p), fp2_pow(h, e2, p), p));
+    // Membership of a GT element, a non-unitary element and a norm-1
+    // element outside GT, decided together.
+    const Fp2 f{e1 + Bigint(1), e2};
+    const std::vector<Fp2> xs{h, f, fp2_mul(fp2_conj(f, p), fp2_inv(f, p), p)};
+    const auto flags =
+        across_levels([&] { return engine().gt_contains_many(xs); });
+    ASSERT_EQ(flags.size(), 3u);
+    for (std::size_t j = 0; j < xs.size(); ++j) {
+      EXPECT_EQ(flags[j], fp2_is_one(fp2_pow(xs[j], params().r, p)))
+          << "element " << j;
+    }
   }
 }
 

@@ -239,19 +239,83 @@ TEST(PairingPipelineTest, GtPowMatchesFp2Pow) {
 }
 
 TEST(PairingPipelineTest, GtPow2MatchesComposedPowers) {
+  // gt_pow2_many runs every job's joint chain in step; each output must
+  // equal the product of two independent fp2_pow chains, for GT members
+  // and arbitrary (non-unitary) F_p² elements alike, at every batch size.
   SecureRandom rng(12);
-  const EcPoint P = typea_random_subgroup_point(params(), rng);
-  const EcPoint Q = typea_random_subgroup_point(params(), rng);
   const Bigint& p = params().p;
-  const Fp2 x1 = tate_pairing_affine(params(), P, P);
-  const Fp2 x2 = tate_pairing_affine(params(), P, Q);
-  const Bigint e1 = Bigint::random_range(rng, Bigint(1), params().r);
-  const Bigint e2 = Bigint::random_range(rng, Bigint(1), params().r);
-  EXPECT_EQ(engine().gt_pow2(x1, e1, x2, e2),
-            fp2_mul(fp2_pow(x1, e1, p), fp2_pow(x2, e2, p), p));
-  EXPECT_EQ(engine().gt_pow2(x1, Bigint(0), x2, Bigint(0)), fp2_one());
-  EXPECT_THROW(engine().gt_pow2(x1, Bigint(-1), x2, e2),
+  const Bigint& r = params().r;
+  const Bigint exps[] = {Bigint(0), Bigint(1), r - Bigint(1)};
+  for (const std::size_t k : {1, 2, 3, 5, 23}) {
+    std::vector<PairingEngine::GtPow2> jobs;
+    for (std::size_t j = 0; j < k; ++j) {
+      const EcPoint P = typea_random_subgroup_point(params(), rng);
+      const Fp2 x1 = tate_pairing_affine(params(), P, params().g);
+      const Fp2 x2 = j % 3 == 2
+                         ? Fp2{Bigint::random_below(rng, p),
+                               Bigint::random_below(rng, p)}
+                         : tate_pairing_affine(params(), params().g, P);
+      const Bigint e1 = j < 3 ? exps[j] : Bigint::random_below(rng, r);
+      const Bigint e2 =
+          j < 9 && j >= 3 ? exps[(j - 3) / 3] : Bigint::random_below(rng, r);
+      jobs.push_back({x1, e1, x2, e2});
+    }
+    const std::vector<Fp2> got = engine().gt_pow2_many(jobs);
+    ASSERT_EQ(got.size(), k);
+    for (std::size_t j = 0; j < k; ++j) {
+      const PairingEngine::GtPow2& job = jobs[j];
+      EXPECT_EQ(got[j], fp2_mul(fp2_pow(job.x1, job.e1, p),
+                                fp2_pow(job.x2, job.e2, p), p))
+          << "K=" << k << " job " << j;
+    }
+  }
+  const Fp2 x = tate_pairing_affine(params(), params().g, params().g);
+  EXPECT_EQ(engine().gt_pow2_many({{x, Bigint(0), x, Bigint(0)}})[0],
+            fp2_one());
+  EXPECT_TRUE(engine().gt_pow2_many({}).empty());
+  EXPECT_THROW(engine().gt_pow2_many({{x, Bigint(-1), x, Bigint(1)}}),
                std::invalid_argument);
+}
+
+TEST(PairingPipelineTest, GtContainsMatchesPowOracle) {
+  // The Lucas membership test (norm 1, then V_r(2a) == 2) against the
+  // definition x^r == 1, on members and every kind of non-member, singly
+  // and all in one call.
+  SecureRandom rng(14);
+  const Bigint& p = params().p;
+  const Bigint& r = params().r;
+  const auto random_fp2 = [&] {
+    return Fp2{Bigint::random_below(rng, p), Bigint::random_below(rng, p)};
+  };
+  // conj(f)/f has norm 1; raised to r its order divides h.
+  const auto unitary = [&](const Fp2& f) {
+    return fp2_mul(fp2_conj(f, p), fp2_inv(f, p), p);
+  };
+  std::vector<Fp2> xs{fp2_one(), Fp2{p - Bigint(1), Bigint(0)},
+                      Fp2{Bigint(0), Bigint(1)},
+                      Fp2{Bigint(0), p - Bigint(1)}, Fp2{Bigint(0), Bigint(0)}};
+  for (int i = 0; i < 4; ++i) {
+    const EcPoint P = typea_random_subgroup_point(params(), rng);
+    const Fp2 member = tate_pairing_affine(params(), P, params().g);
+    const Fp2 small = fp2_pow(unitary(random_fp2()), r, p);  // order | h
+    xs.push_back(member);
+    xs.push_back(random_fp2());                 // non-unitary
+    xs.push_back(unitary(random_fp2()));        // norm 1, generic order
+    xs.push_back(small);
+    xs.push_back(fp2_mul(member, small, p));    // GT × order-h
+    xs.push_back(fp2_pow(member, r - Bigint(1), p));
+  }
+  std::size_t members = 0;
+  const std::vector<bool> all = engine().gt_contains_many(xs);
+  ASSERT_EQ(all.size(), xs.size());
+  for (std::size_t j = 0; j < xs.size(); ++j) {
+    const bool want = fp2_is_one(fp2_pow(xs[j], r, p));
+    members += want ? 1 : 0;
+    EXPECT_EQ(all[j], want) << "element " << j;
+    EXPECT_EQ(engine().gt_contains_many({xs[j]})[0], want) << "element " << j;
+  }
+  EXPECT_EQ(members, 9u);  // 1, and the 4 members and their inverses
+  EXPECT_TRUE(engine().gt_contains_many({}).empty());
 }
 
 TEST(PairingPipelineTest, CountersTrackMillerWorkAndFinalExps) {

@@ -4,6 +4,7 @@
 
 #include "bigint/cunningham.h"
 #include "bigint/prime.h"
+#include "util/counters.h"
 
 namespace ppms {
 namespace {
@@ -126,6 +127,53 @@ TEST(EqualityTest, SerializationRoundTrip) {
       equality_prove(*fx().ec, g1, y1, *fx().zn, g2, y2, x, rng);
   const EqualityProof copy = EqualityProof::deserialize(proof.serialize());
   EXPECT_TRUE(equality_verify(*fx().ec, g1, y1, *fx().zn, g2, y2, copy));
+}
+
+TEST(EqualityTest, ManyMatchesSingleVerifierAndCountsEach) {
+  // equality_verify_many over GT (membership and proof equations in
+  // lockstep) and the tower group: each flag equals the single verifier's,
+  // and each instance counts as one ZKP verify.
+  SecureRandom rng(8);
+  const GtGroup gt(fx().params);
+  const ZnGroup& zn = *fx().zn;
+  const Bigint& r = gt.order();
+  const Bytes g1 = gt.pair(fx().params.g, fx().params.g);
+  const Bytes g2 = zn.generator();
+  const std::size_t n = 7;
+  std::vector<Bytes> y1(n), y2(n), ctx(n);
+  std::vector<EqualityProof> proofs(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Bigint x = Bigint::random_below(rng, r);
+    y1[i] = gt.pow(g1, x);
+    y2[i] = zn.pow(g2, i == 1 ? x + Bigint(1) : x);  // 1: unequal witnesses
+    ctx[i] = bytes_of("ctx-" + std::to_string(i));
+    proofs[i] = equality_prove(gt, g1, y1[i], zn, g2, y2[i], x, rng, ctx[i]);
+  }
+  proofs[2].response = proofs[2].response + r;      // out of range
+  proofs[3].commitment1 = proofs[4].commitment1;    // another member's A1
+  const Fp2 f{Bigint(3), Bigint(5)};
+  proofs[5].commitment1 = gt.encode(f);             // not unitary
+  std::vector<EqualityInstance> instances;
+  for (std::size_t i = 0; i < n; ++i) {
+    instances.push_back({&g1, &y1[i], &g2, &y2[i], &proofs[i], &ctx[i]});
+  }
+  reset_op_counters();
+  set_op_counting(true);
+  const std::vector<bool> flags =
+      equality_verify_many(gt, zn, instances, /*trusted_statement=*/false);
+  const std::uint64_t counted =
+      op_counters().get(Role::None, OpKind::Zkp);
+  set_op_counting(false);
+  reset_op_counters();
+  EXPECT_EQ(counted, n);
+  EXPECT_EQ(flags, (std::vector<bool>{true, false, false, false, true, false,
+                                      true}));
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(flags[i], equality_verify(gt, g1, y1[i], zn, g2, y2[i],
+                                        proofs[i], ctx[i]))
+        << "instance " << i;
+  }
+  EXPECT_TRUE(equality_verify_many(gt, zn, {}, false).empty());
 }
 
 }  // namespace

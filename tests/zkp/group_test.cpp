@@ -255,6 +255,49 @@ TEST(GtGroupTest, Pow2MatchesTwoPows) {
   check_pow2(g, b1, b2, rng);
 }
 
+TEST(GtGroupTest, BatchFormsMatchSingleCalls) {
+  // contains_many and pow2_many decide a whole batch in one lockstep pass;
+  // each entry must equal the single call, including encodings that do
+  // not decode (wrong length, a coordinate >= p) and elements outside GT.
+  SecureRandom rng(24);
+  const GtGroup g(params());
+  const Bigint& p = params().p;
+  const Bytes gen = g.pair(params().g, params().g);
+  const Fp2 x{Bigint::random_below(rng, p), Bigint::random_below(rng, p)};
+  const Fp2 unit_norm = fp2_mul(fp2_conj(x, p), fp2_inv(x, p), p);
+  Bytes high = g.encode(g.decode(gen));
+  const Bytes pb = p.to_bytes_be(high.size() / 2);
+  std::copy(pb.begin(), pb.end(), high.begin());  // a = p: non-canonical
+  const std::vector<Bytes> elems{
+      gen,          g.identity(),   g.pow(gen, Bigint(5)), Bytes(3),
+      high,         g.encode(x),    g.encode(unit_norm),
+      g.encode(Fp2{Bigint(0), Bigint(0)}),
+      g.encode(Fp2{p - Bigint(1), Bigint(0)})};
+  std::vector<const Bytes*> ptrs;
+  for (const Bytes& e : elems) ptrs.push_back(&e);
+  const std::vector<bool> flags = g.contains_many(ptrs);
+  ASSERT_EQ(flags.size(), elems.size());
+  for (std::size_t i = 0; i < elems.size(); ++i) {
+    EXPECT_EQ(flags[i], g.contains(elems[i])) << "element " << i;
+  }
+  EXPECT_EQ(flags, (std::vector<bool>{true, true, true, false, false, false,
+                                      false, false, false}));
+  EXPECT_TRUE(g.contains_many({}).empty());
+
+  std::vector<Group::Pow2Job> jobs;
+  for (int i = 0; i < 5; ++i) {
+    jobs.push_back({&elems[i % 3], Bigint::random_below(rng, g.order()),
+                    &elems[(i + 1) % 3], Bigint(i) - Bigint(2)});
+  }
+  const std::vector<Bytes> got = g.pow2_many(jobs);
+  ASSERT_EQ(got.size(), jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(got[i], g.op(g.pow(*jobs[i].base1, jobs[i].e1),
+                           g.pow(*jobs[i].base2, jobs[i].e2)))
+        << "job " << i;
+  }
+}
+
 TEST(GroupDescribeTest, DistinctGroupsDistinctDescriptions) {
   const EcGroup ec(params());
   const GtGroup gt(params());
